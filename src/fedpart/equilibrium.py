@@ -90,11 +90,35 @@ class CeCheck:
     worst_to: int | None = None
 
 
+def _flip_pairs(values: np.ndarray, i: int) -> np.ndarray:
+    """View of a per-outcome vector as (high bits, bit i, low bits).
+
+    ``v[:, q, :]`` holds the outcomes with device i's bit equal to q, in
+    canonical order, and ``v[:, 1 - q, :]`` their flips at the same places.
+    """
+    return values.reshape(-1, 2, 1 << i)
+
+
 def _deviation_gains(profits: np.ndarray, i: int) -> np.ndarray:
     """Per-outcome V_i(p) - V_i(p with device i's bit flipped)."""
-    num = profits.shape[0]
-    flipped = np.arange(num) ^ (1 << i)
-    return profits[:, i] - profits[flipped, i]
+    v = _flip_pairs(profits[:, i], i)
+    return (v - v[:, ::-1, :]).reshape(-1)
+
+
+def _check_ce(probabilities: np.ndarray, profits: np.ndarray,
+              tol: float = CE_TOL) -> CeCheck:
+    """Worst conditional deviation constraint of a distribution, given profits."""
+    worst = (0.0, None, None, None)
+    for i in range(profits.shape[1]):
+        gains = _flip_pairs(_deviation_gains(profits, i), i)
+        prob = _flip_pairs(probabilities, i)
+        for q in (0, 1):
+            value = float(np.sum((prob[:, q, :] * gains[:, q, :]).reshape(-1)))
+            if value < worst[0]:
+                worst = (value, i, q, 1 - q)
+    violation = -worst[0]
+    return CeCheck(ok=violation <= tol, worst_violation=violation,
+                   worst_device=worst[1], worst_from=worst[2], worst_to=worst[3])
 
 
 def verify_ce(dist: CorrelatedDistribution, devices: Sequence[gm.DeviceProfile],
@@ -105,22 +129,9 @@ def verify_ce(dist: CorrelatedDistribution, devices: Sequence[gm.DeviceProfile],
     Σ_{p: p_i=q} G(p)·(V_i(p) − V_i(flip_i(p))) ≥ 0.  Pairs with
     q = q' are identically zero and can never be the strict worst.
     """
-    n = len(devices)
-    if dist.num_devices != n:
+    if dist.num_devices != len(devices):
         raise UsageError("distribution and device list disagree on n")
-    profits = gm.profit_tensor(devices, params)
-    bits = gm.outcome_bits(n)
-    worst = (0.0, None, None, None)
-    for i in range(n):
-        gains = _deviation_gains(profits, i)
-        for q in (0, 1):
-            mask = bits[:, i] == q
-            value = float(np.sum(dist.probabilities[mask] * gains[mask]))
-            if value < worst[0]:
-                worst = (value, i, q, 1 - q)
-    violation = -worst[0]
-    return CeCheck(ok=violation <= tol, worst_violation=violation,
-                   worst_device=worst[1], worst_from=worst[2], worst_to=worst[3])
+    return _check_ce(dist.probabilities, gm.profit_tensor(devices, params), tol)
 
 
 @dataclass(frozen=True)
@@ -153,18 +164,17 @@ def build_gpm(devices: Sequence[gm.DeviceProfile],
         raise UsageError("need at least one device")
     profits = gm.profit_tensor(devices, params, cap=enumeration_cap)
     num = 2 ** n
-    bits = gm.outcome_bits(n)
-    rows = []
+    # row 2i+q is device i's deviation gain on the outcomes where p_i = q
+    rows = np.zeros((2 * n + 1, num))
     for i in range(n):
-        gains = _deviation_gains(profits, i)
+        gains = _flip_pairs(_deviation_gains(profits, i), i)
         for q in (0, 1):
-            rows.append(np.where(bits[:, i] == q, gains, 0.0))
-    rows.append(np.ones(num))
+            _flip_pairs(rows[2 * i + q], i)[:, q, :] = gains[:, q, :]
+    rows[-1] = 1.0
     senses = tuple([GE] * 2 * n + [EQ])
     rhs = np.zeros(2 * n + 1)
     rhs[-1] = 1.0
-    lp = LinearProgram(c=profits.sum(axis=1), rows=np.array(rows),
-                       senses=senses, rhs=rhs)
+    lp = LinearProgram(c=profits.sum(axis=1), rows=rows, senses=senses, rhs=rhs)
     return GpmProgram(lp=lp, num_devices=n, num_outcomes=num,
                       raw_constraint_count=num + 4 * n + 1,
                       solver_constraint_count=2 * n + 1,
@@ -198,7 +208,7 @@ def solve_gpm(devices: Sequence[gm.DeviceProfile],
     if sol.status != "optimal":
         raise NumericalError(f"GPM solve ended with status {sol.status!r}")
     dist = CorrelatedDistribution(sol.x, program.num_devices)
-    check = verify_ce(dist, devices, params)
+    check = _check_ce(dist.probabilities, program.profits)
     if not check.ok:
         raise NumericalError(
             f"solver output violates a deviation constraint by {check.worst_violation:.3e} "

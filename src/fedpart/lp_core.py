@@ -134,11 +134,13 @@ def check_feasible(lp: LinearProgram, x: Sequence[float],
                              worst_label=worst)
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+def _pivot(T: np.ndarray, W: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Pivot on (r, j); ``W`` is scratch space of T's shape for the rank-1 update."""
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    np.multiply.outer(col, T[r], out=W)
+    T -= W
     T[:, j] = 0.0
     T[r, j] = 1.0
     # keep the rhs column nonnegative: drift below zero poisons the ratio test
@@ -170,11 +172,14 @@ def _choose_entering_rescue(T: np.ndarray, allowed: np.ndarray, m: int) -> int:
     cand = np.nonzero(allowed & (obj > _RC_TOL))[0]
     if cand.size == 0:
         return -1
-    cols = T[:m, cand]
-    rhs = T[:m, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(cols > _PIVOT_TOL, rhs[:, None] / cols, np.inf)
-    min_ratio = ratios.min(axis=0)
+    # running row-by-row minimum: no (m x cand) ratio matrix
+    min_ratio = np.full(cand.size, np.inf)
+    ratio = np.empty(cand.size)
+    for k in range(m):
+        col = T[k, cand]
+        ratio.fill(np.inf)
+        np.divide(T[k, -1], col, out=ratio, where=col > _PIVOT_TOL)
+        np.minimum(min_ratio, ratio, out=min_ratio)
     gain = obj[cand] * min_ratio
     best = int(np.argmax(gain))
     if gain[best] <= 1e-12:
@@ -208,7 +213,7 @@ def _choose_leaving(T: np.ndarray, basis: np.ndarray, m: int, j: int,
     return int(cand[np.argmin(basis[cand])]) if cand.size > 1 else int(cand[0])
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
+def _run_simplex(T: np.ndarray, W: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
                  m: int, budget: list[int], lex_order: np.ndarray) -> str:
     """Iterate to optimality ('optimal') or detect 'unbounded'."""
     stall = 0
@@ -238,7 +243,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
             raise NumericalError("simplex iteration cap exceeded")
         budget[0] -= 1
         before = T[m, -1]
-        _pivot(T, basis, r, j)
+        _pivot(T, W, basis, r, j)
         if T[m, -1] < before - 1e-12:  # objective row stores -objective
             stall = 0
         else:
@@ -260,25 +265,19 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
     # '>=' rows with nonpositive rhs are flipped to '<=' so their slack can
     # start basic; only unflipped '>=' rows and equalities need artificials.
     orient = np.ones(m)
-    A = lp.rows.copy()
-    b = lp.rhs.astype(float).copy()
     aux_sign = np.zeros(m)  # +1 slack, -1 surplus, 0 none (equality)
     needs_art = np.zeros(m, dtype=bool)
     for k, sense in enumerate(lp.senses):
         if sense == GE:
-            if b[k] <= 0:
+            if lp.rhs[k] <= 0:
                 orient[k] = -1.0
-                A[k] *= -1.0
-                b[k] *= -1.0
                 aux_sign[k] = 1.0
             else:
                 aux_sign[k] = -1.0
                 needs_art[k] = True
         else:
-            if b[k] < 0:
+            if lp.rhs[k] < 0:
                 orient[k] = -1.0
-                A[k] *= -1.0
-                b[k] *= -1.0
             needs_art[k] = True
 
     aux_rows = np.nonzero(aux_sign != 0)[0]
@@ -288,29 +287,27 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
     n_real = nv + n_aux          # columns that survive into phase 2
     ncols = n_real + n_art
 
-    A_std = np.zeros((m, n_real))
-    A_std[:, :nv] = A
-    aux_col_of_row = {}
-    for idx, k in enumerate(aux_rows):
-        A_std[k, nv + idx] = aux_sign[k]
-        aux_col_of_row[k] = nv + idx
-
+    # the tableau is built straight from the oriented rows; W is the one
+    # workspace every pivot's rank-1 update reuses
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n_real] = A_std
-    T[:m, -1] = b
+    np.multiply(lp.rows, orient[:, None], out=T[:m, :nv])
+    T[:m, -1] = lp.rhs * orient
+    W = np.empty_like(T)
     basis = np.empty(m, dtype=np.int64)
+    for idx, k in enumerate(aux_rows):
+        T[k, nv + idx] = aux_sign[k]
+        if not needs_art[k]:
+            basis[k] = nv + idx
     for idx, k in enumerate(art_rows):
         T[k, n_real + idx] = 1.0
         basis[k] = n_real + idx
-    for k in aux_rows:
-        if not needs_art[k]:
-            basis[k] = aux_col_of_row[k]
 
     allowed = np.zeros(ncols, dtype=bool)
     allowed[:n_real] = True  # artificial columns never (re)enter
 
-    rest = np.setdiff1d(np.arange(ncols), basis)
-    lex_order = np.concatenate([basis, rest])
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
+    lex_order = np.concatenate([basis, np.flatnonzero(nonbasic)])
 
     iterations_used = lambda: 50 * (nv + m) - budget[0]
 
@@ -323,7 +320,7 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
         for k in range(m):
             if cost1[basis[k]] != 0.0:
                 T[m] -= cost1[basis[k]] * T[k]
-        status = _run_simplex(T, basis, allowed, m, budget, lex_order)
+        status = _run_simplex(T, W, basis, allowed, m, budget, lex_order)
         if status != "optimal":
             raise NumericalError("phase 1 reported unbounded; artificial objective is bounded")
         # top row stores -objective, so T[m, -1] equals the artificial sum
@@ -337,13 +334,14 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
             if basis[r] >= n_real:
                 cand = np.nonzero(np.abs(T[r, :n_real]) > _PIVOT_TOL)[0]
                 if cand.size:
-                    _pivot(T, basis, r, int(cand[0]))
+                    _pivot(T, W, basis, r, int(cand[0]))
                     T[r, -1] = max(T[r, -1], 0.0)
                 else:
                     drop.append(r)
         if drop:
             keep = [r for r in range(m) if r not in drop]
             T = np.vstack([T[keep], T[m:]])
+            W = W[:len(keep) + 1]
             basis = basis[keep]
         else:
             keep = list(range(m))
@@ -359,7 +357,7 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
     for k in range(m_eff):
         if c_ext[basis[k]] != 0.0:
             T[m_eff] -= c_ext[basis[k]] * T[k]
-    status = _run_simplex(T, basis, allowed, m_eff, budget, lex_order)
+    status = _run_simplex(T, W, basis, allowed, m_eff, budget, lex_order)
     if status == "unbounded":
         return LpSolution("unbounded", np.zeros(nv), np.inf, np.zeros(m),
                           iterations=iterations_used())
@@ -370,7 +368,16 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
     objective = float(lp.c @ x_struct)
 
     # --- dual from the final basis -------------------------------------------
-    B = A_std[keep][:, basis]
+    # B holds the m_eff basic columns of the oriented standard-form matrix
+    B = np.zeros((m_eff, m_eff))
+    row_pos = {k: pos for pos, k in enumerate(keep)}
+    for pos, j in enumerate(basis):
+        if j < nv:
+            B[:, pos] = lp.rows[keep, j] * orient[keep]
+        else:
+            k = aux_rows[j - nv]
+            if k in row_pos:
+                B[row_pos[k], pos] = aux_sign[k]
     try:
         y_std = np.linalg.solve(B.T, c_ext[basis])
     except np.linalg.LinAlgError as exc:

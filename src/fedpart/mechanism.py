@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReportOutOfRangeError, UsageError
+from .errors import NumericalError, ReportOutOfRangeError, UsageError
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,16 @@ def optimal_rule(theta: float, srv: ServerMechParams) -> GameRule:
     """
     if not 0.0 < theta <= 1.0:
         raise UsageError(f"theta must be in (0, 1], got {theta}")
-    assert -2.0 * srv.rho < 0  # second-order condition of the rule derivation
+    if not -2.0 * srv.rho < 0:
+        raise NumericalError(
+            f"rule derivation needs curvature -2*rho < 0, got rho={srv.rho!r}")
     return GameRule(intercept=srv.r0, slope=-srv.a_e * theta / (2.0 * srv.rho))
+
+
+def _closed_form_report(theta: float, srv: ServerMechParams,
+                        dev: DeviceMechParams) -> float:
+    """s* = rho*(r0 + a_d*theta)/(a_e*theta), the stationary point of the device objective."""
+    return srv.rho * (srv.r0 + dev.a_d * theta) / (srv.a_e * theta)
 
 
 def best_response(theta: float, srv: ServerMechParams,
@@ -141,14 +149,17 @@ def best_response(theta: float, srv: ServerMechParams,
     """
     if not 0.0 < theta <= 1.0:
         raise UsageError(f"theta must be in (0, 1], got {theta}")
-    s_star = srv.rho * (srv.r0 + dev.a_d * theta) / (srv.a_e * theta)
+    s_star = _closed_form_report(theta, srv, dev)
     if s_star > 0:
         rule = optimal_rule(theta, srv)
         dev_true = DeviceMechParams(theta=theta, a_d=dev.a_d, b_d=dev.b_d)
         h = max(1e-3, 1e-9 * abs(s_star))
         at = device_utility(rule(s_star), s_star, dev_true)
-        assert at >= device_utility(rule(s_star + h), s_star + h, dev_true)
-        assert at >= device_utility(rule(max(s_star - h, 0.0)), max(s_star - h, 0.0), dev_true)
+        for s in (s_star + h, max(s_star - h, 0.0)):
+            if not at >= device_utility(rule(s), s, dev_true):
+                raise NumericalError(
+                    f"closed-form report {s_star!r} is not a local maximum of the "
+                    f"device utility (neighbour {s!r} does better)")
     return s_star
 
 
@@ -174,7 +185,7 @@ def accepts(theta: float, srv: ServerMechParams, dev: DeviceMechParams) -> bool:
     nonpositive best response means the closed form left the feasible
     region, so the device keeps silent.
     """
-    s_star = srv.rho * (srv.r0 + dev.a_d * theta) / (srv.a_e * theta)
+    s_star = _closed_form_report(theta, srv, dev)
     if s_star <= 0:
         return False
     rule = optimal_rule(theta, srv)

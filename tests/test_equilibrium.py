@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fedpart import game_model as gm
 from fedpart.equilibrium import (
+    CeCheck,
     CorrelatedDistribution,
+    _deviation_gains,
     build_gpm,
     marginals,
     sample_decision,
@@ -94,6 +96,55 @@ def test_verify_ce_rejects_dominated_point_mass():
     assert not chk.ok
     assert chk.worst_violation > 1.0
     assert chk.worst_from == 1 and chk.worst_to == 0
+
+
+def _masked_verify_ce(dist, devices, params, tol=1e-7):
+    """Reference CE check: boolean outcome masks and an XOR-gathered flip."""
+    n = len(devices)
+    profits = gm.profit_tensor(devices, params)
+    bits = gm.outcome_bits(n)
+    flipped = np.arange(2**n)
+    worst = (0.0, None, None, None)
+    for i in range(n):
+        gains = profits[:, i] - profits[flipped ^ (1 << i), i]
+        for q in (0, 1):
+            mask = bits[:, i] == q
+            value = float(np.sum(dist.probabilities[mask] * gains[mask]))
+            if value < worst[0]:
+                worst = (value, i, q, 1 - q)
+    return CeCheck(ok=-worst[0] <= tol, worst_violation=-worst[0],
+                   worst_device=worst[1], worst_from=worst[2], worst_to=worst[3])
+
+
+def test_deviation_gains_view_matches_xor_gather():
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        game_profits = gm.profit_tensor(devices_of(*rng.choice([50, 100, 500, 900], n)),
+                                        gm.GameParams())
+        for profits in (game_profits, rng.normal(size=(2**n, n))):
+            flipped = np.arange(2**n)
+            for i in range(n):
+                expected = profits[:, i] - profits[flipped ^ (1 << i), i]
+                assert np.array_equal(_deviation_gains(profits, i), expected), (n, i)
+
+
+def test_verify_ce_matches_masked_formula():
+    game = gm.GameParams()
+    cases = []
+    for sizes in [(500,), (50,), (500, 500), (100, 500, 900), (50, 50, 50, 50)]:
+        devs = devices_of(*sizes)
+        cases.append((solve_gpm(devs).distribution, devs))
+    devs3 = devices_of(100, 500, 900)
+    cases += [(CorrelatedDistribution.point_mass(p), devs3)
+              for p in itertools.product((0, 1), repeat=3)]
+    costly = [gm.DeviceProfile(id=i, data_size=500.0, channel_cost=1e6) for i in range(2)]
+    cases.append((CorrelatedDistribution.point_mass((1, 1)), costly))
+    violated = 0
+    for dist, devs in cases:
+        got = verify_ce(dist, devs, game)
+        assert got == _masked_verify_ce(dist, devs, game), (dist.probabilities, got)
+        violated += not got.ok
+    assert violated >= 2  # some n=3 point masses and the costly pair break a constraint
 
 
 def test_relabeling_equivariance():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fedpart.errors import ReportOutOfRangeError, UsageError
+from fedpart import mechanism
+from fedpart.errors import NumericalError, ReportOutOfRangeError, UsageError
 from fedpart.mechanism import (
     DeviceMechParams,
     GameRule,
@@ -74,6 +75,18 @@ def test_best_response_is_argmax():
     u0 = device_utility(rule(s), s, dev)
     for ds in (-1.0, 1.0, -37.3, 512.0):
         assert device_utility(rule(s + ds), s + ds, dev) < u0
+
+
+def test_optimality_guards_raise_numerical_error(monkeypatch):
+    # explicit raises, not asserts, so the checks survive python -O
+    srv = ServerMechParams()
+    object.__setattr__(srv, "rho", -1.0)  # bypass validation: a convex rule objective
+    with pytest.raises(NumericalError):
+        optimal_rule(0.5, srv)
+    # a utility that grows with the report: the closed form is no local maximum
+    monkeypatch.setattr(mechanism, "device_utility", lambda r, s, dev, horizon=1.0: s)
+    with pytest.raises(NumericalError, match="not a local maximum"):
+        best_response(0.5, ServerMechParams(), DeviceMechParams())
 
 
 def test_horizon_scales_utilities():
