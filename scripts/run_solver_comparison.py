@@ -27,6 +27,8 @@ def main() -> None:
     ap.add_argument("--xi", type=int, default=2, help="number of subsets")
     ap.add_argument("--reps", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--timing", action="store_true",
+                    help="keep wall-clock columns (breaks byte reproducibility)")
     args = ap.parse_args()
 
     cfg = ExperimentConfig()
@@ -37,7 +39,7 @@ def main() -> None:
 
     args.out.mkdir(parents=True, exist_ok=True)
     target = args.out / "solver_comparison.csv"
-    target.write_text(render_csv(header, rows, timing=True), encoding="utf-8")
+    target.write_text(render_csv(header, rows, timing=args.timing), encoding="utf-8")
     print(f"wrote {target} ({len(rows)} rows)")
     for row in rows:
         n, _, _, direct_p, improved_p, direct_ms, improved_ms = row[:7]

@@ -12,7 +12,7 @@ The package models a server that rents compute/data from edge devices:
   data-size reports before the participation game is solved.
 * :mod:`fedpart.error_model` — the power-law link from pooled data size to
   model error, fitted from measurements.
-* :mod:`fedpart.lp_core` — self-contained two-phase simplex with dual
+* :mod:`fedpart.lp_core` — self-contained two-phase revised simplex with dual
   certificates (no external solver dependency).
 * :mod:`fedpart.harness` — experiment configs, the end-to-end protocol,
   sweeps, and the ``fedpart`` command-line interface.

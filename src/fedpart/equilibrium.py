@@ -63,8 +63,8 @@ class CorrelatedDistribution:
 
 def marginals(dist: CorrelatedDistribution) -> np.ndarray:
     """Per-device participation probability Σ_{p: p_i=1} G(p)."""
-    bits = gm.outcome_bits(dist.num_devices)
-    return dist.probabilities @ bits
+    p = dist.probabilities
+    return np.array([gm.flip_pairs(p, i)[:, 1, :].sum() for i in range(dist.num_devices)])
 
 
 def sample_decision(dist: CorrelatedDistribution, seed: int) -> gm.Decision:
@@ -90,18 +90,9 @@ class CeCheck:
     worst_to: int | None = None
 
 
-def _flip_pairs(values: np.ndarray, i: int) -> np.ndarray:
-    """View of a per-outcome vector as (high bits, bit i, low bits).
-
-    ``v[:, q, :]`` holds the outcomes with device i's bit equal to q, in
-    canonical order, and ``v[:, 1 - q, :]`` their flips at the same places.
-    """
-    return values.reshape(-1, 2, 1 << i)
-
-
 def _deviation_gains(profits: np.ndarray, i: int) -> np.ndarray:
     """Per-outcome V_i(p) - V_i(p with device i's bit flipped)."""
-    v = _flip_pairs(profits[:, i], i)
+    v = gm.flip_pairs(profits[:, i], i)
     return (v - v[:, ::-1, :]).reshape(-1)
 
 
@@ -110,8 +101,8 @@ def _check_ce(probabilities: np.ndarray, profits: np.ndarray,
     """Worst conditional deviation constraint of a distribution, given profits."""
     worst = (0.0, None, None, None)
     for i in range(profits.shape[1]):
-        gains = _flip_pairs(_deviation_gains(profits, i), i)
-        prob = _flip_pairs(probabilities, i)
+        gains = gm.flip_pairs(_deviation_gains(profits, i), i)
+        prob = gm.flip_pairs(probabilities, i)
         for q in (0, 1):
             value = float(np.sum((prob[:, q, :] * gains[:, q, :]).reshape(-1)))
             if value < worst[0]:
@@ -167,9 +158,9 @@ def build_gpm(devices: Sequence[gm.DeviceProfile],
     # row 2i+q is device i's deviation gain on the outcomes where p_i = q
     rows = np.zeros((2 * n + 1, num))
     for i in range(n):
-        gains = _flip_pairs(_deviation_gains(profits, i), i)
+        gains = gm.flip_pairs(_deviation_gains(profits, i), i)
         for q in (0, 1):
-            _flip_pairs(rows[2 * i + q], i)[:, q, :] = gains[:, q, :]
+            gm.flip_pairs(rows[2 * i + q], i)[:, q, :] = gains[:, q, :]
     rows[-1] = 1.0
     senses = tuple([GE] * 2 * n + [EQ])
     rhs = np.zeros(2 * n + 1)
@@ -193,6 +184,21 @@ class GpmSolution:
         return iter((self.distribution, self.total_profit))
 
 
+def _best_pure_ne(lp: LinearProgram) -> int | None:
+    """The pure Nash equilibrium with the largest total profit, if any.
+
+    Outcome k is a pure NE when no device gains by flipping its action,
+    that is when column k is nonnegative in every deviation row.  Ties go
+    to the lowest outcome index.
+    """
+    stable = np.ones(lp.num_vars, dtype=bool)
+    for row in lp.rows[:-1]:
+        stable &= row >= 0
+    if not stable.any():
+        return None
+    return int(np.argmax(np.where(stable, lp.c, -np.inf)))
+
+
 def solve_gpm(devices: Sequence[gm.DeviceProfile],
               params: gm.GameParams | None = None,
               tol: Tolerances | None = None,
@@ -200,7 +206,7 @@ def solve_gpm(devices: Sequence[gm.DeviceProfile],
     """Maximize expected total profit over correlated equilibria."""
     params = params or gm.GameParams()
     program = build_gpm(devices, params, enumeration_cap=enumeration_cap)
-    sol = solve(program.lp, tol)
+    sol = solve(program.lp, tol, first_column=_best_pure_ne(program.lp))
     if sol.status == "infeasible":
         # the all-abstain point mass always satisfies the q=1 rows vacuously,
         # so an infeasible report can only mean the LP was assembled wrong

@@ -137,10 +137,14 @@ def total_profit(p: Sequence[int], devices: Sequence[DeviceProfile],
     return sum(device_profit(i, p, devices, game) for i in range(len(devices)))
 
 
-def outcome_bits(n: int) -> np.ndarray:
-    """(2**n, n) 0/1 matrix; row k is the decision vector of outcome k."""
-    outcomes = np.arange(1 << n, dtype=np.int64)
-    return (outcomes[:, None] >> np.arange(n)) & 1
+def flip_pairs(values: np.ndarray, i: int) -> np.ndarray:
+    """View of a per-outcome vector as (high bits, bit i, low bits).
+
+    ``v[:, q, :]`` holds the outcomes with device i's bit equal to q, in
+    canonical order, and ``v[:, 1 - q, :]`` their flips at the same places.
+    Writing through the view writes ``values``.
+    """
+    return values.reshape(-1, 2, 1 << i)
 
 
 def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
@@ -148,6 +152,8 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
     """(2**n, n) table of device profits over every joint outcome.
 
     Row k column i equals ``device_profit(i, decision_from_index(k, n), ...)``.
+    Built one device column at a time; besides the result it holds only a
+    few per-outcome vectors.
     """
     validate_devices(devices)
     n = len(devices)
@@ -156,24 +162,29 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
     if n == 0:
         return np.zeros((1, 0))
 
-    sizes = np.array([d.data_size for d in devices], dtype=float)
-    costs = np.array([device_cost(i, devices) for i in range(n)], dtype=float)
-    bits = outcome_bits(n).astype(float)
-
-    totals = bits @ sizes
-    participating = bits.sum(axis=1) > 0
+    sizes = [d.data_size for d in devices]
+    # pooled data per outcome by doubling: outcomes [h, 2h) add device i,
+    # whose bit is the highest one set
+    totals = np.zeros(1 << n)
+    for i, size in enumerate(sizes):
+        h = 1 << i
+        np.add(totals[:h], size, out=totals[h:2 * h])
     with np.errstate(divide="ignore"):
         err = np.where(totals > 0,
                        game.err_a * np.exp(-game.err_b * np.log(np.where(totals > 0, totals, 1.0))),
                        np.inf if game.err_b > 0 else game.err_a)
-    pool = np.where(participating, game.alpha * (1.0 - err), 0.0)
+    pool = game.alpha * (1.0 - err)
+    pool[0] = 0.0  # nobody participates
+    denom = game.delta + totals
 
-    share_num = bits * sizes  # p_i * s_i, zero for non-participants
-    with np.errstate(invalid="ignore"):
-        rewards = np.where(share_num > 0,
-                           share_num / (game.delta + totals)[:, None] * pool[:, None],
-                           0.0)
-    return rewards - bits * costs
+    out = np.zeros((1 << n, n))
+    for i, size in enumerate(sizes):
+        joined = flip_pairs(out[:, i], i)[:, 1, :]
+        if size > 0:
+            np.divide(size, flip_pairs(denom, i)[:, 1, :], out=joined)
+            joined *= flip_pairs(pool, i)[:, 1, :]
+        joined -= device_cost(i, devices)
+    return out
 
 
 def outcome_totals(profits: np.ndarray) -> np.ndarray:

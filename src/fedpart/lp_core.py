@@ -1,34 +1,51 @@
-"""Dense two-phase simplex for small maximization LPs with a dual certificate.
+"""Revised two-phase simplex for maximization LPs with a dual certificate.
 
 Problem form: maximize ``c @ x`` subject to ``rows[k] @ x >= rhs[k]`` or
 ``rows[k] @ x == rhs[k]`` and ``x >= 0``.
 
+The engine never forms a tableau.  It keeps the m x m basis inverse B⁻¹
+and the basic values β = B⁻¹b, and works from the stored ``rows``:
+
+* Pricing takes the simplex multipliers y = c_B B⁻¹ and computes every
+  reduced cost with one product ``y @ rows``.
+* Only the entering column is transformed (B⁻¹ a_j), and a pivot updates
+  B⁻¹ and β in O(m²).
+
+So a pivot reads ``rows`` once instead of rewriting an m x columns array,
+which suits the participation-game programs: m = 2n+1 rows and 2^n columns.
+
 The entering rule is Dantzig's (largest reduced cost, lowest index on ties).
 Immediately after any degenerate pivot it switches to a rescue scan that
 prices every candidate column by its actual objective gain (reduced cost
-times min-ratio) and takes the best strictly improving pivot; when every
-pivot is degenerate it stays with Dantzig, dropping to Bland's lowest-index
-rule only after a long degenerate run.
-The leaving rule breaks ratio-test ties lexicographically, which is the
-classic symbolic perturbation: it makes every pivot strictly improving in
-the perturbed sense, so no basis can repeat under any entering rule, and
-termination is finite regardless of how entering columns are picked.
-The rescue scan matters for the participation-game programs: every
-deviation row sits at rhs 0, so phase 1 starts on a plateau where the one
-artificial (ratio 1) always loses the ratio test to a zero-rhs row, and
-Dantzig/Bland wander that plateau for hundreds of thousands of bases.  The
-gain scan instead jumps straight to a column that can move the artificial
-out.  All tie-breaking is by lowest index, so a given program always
-produces bit-identical output.
+times min-ratio) and takes the best strictly improving pivot; the scan
+forms the candidates' B⁻¹A columns in fixed-size blocks, so its memory does
+not grow with the column count.  When every pivot is degenerate it stays
+with Dantzig, dropping to Bland's lowest-index rule only after a long
+degenerate run.
+The leaving rule breaks ratio-test ties lexicographically on the rows of
+B⁻¹, which is the classic symbolic perturbation: it makes every pivot
+strictly improving in the perturbed sense, so no basis can repeat under any
+entering rule, and termination is finite regardless of how entering columns
+are picked.  Basic values that drift below zero are clamped to zero.
 
-An ``optimal`` result carries the dual vector and has been checked against
-primal feasibility, dual feasibility, complementary slackness and the duality
-gap; a violation raises :class:`NumericalError` instead of returning quietly.
+A caller that knows a good first vertex passes ``first_column``: that
+column enters at the first pivot when it prices in.  For the participation
+game a pure Nash equilibrium is such a column.  Every deviation row has rhs
+0, so phase 1 otherwise starts on a degenerate plateau; entering a pure
+equilibrium is one nondegenerate pivot that ends phase 1.  All tie-breaking
+is by lowest index, so a given program always produces bit-identical
+output.
+
+An ``optimal`` result carries the dual vector, taken from one fresh solve
+against the final basis columns rather than from the updated inverse, and
+has been checked against primal feasibility, dual feasibility,
+complementary slackness and the duality gap; a violation raises
+:class:`NumericalError` instead of returning quietly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +54,7 @@ from .errors import NumericalError, UsageError
 
 _PIVOT_TOL = 1e-10
 _RC_TOL = 1e-9
+_RESCUE_BLOCK = 1024  # candidate columns per B⁻¹A block in the rescue scan
 
 GE = ">="
 EQ = "="
@@ -134,92 +152,153 @@ def check_feasible(lp: LinearProgram, x: Sequence[float],
                              worst_label=worst)
 
 
-def _pivot(T: np.ndarray, W: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    """Pivot on (r, j); ``W`` is scratch space of T's shape for the rank-1 update."""
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    np.multiply.outer(col, T[r], out=W)
-    T -= W
-    T[:, j] = 0.0
-    T[r, j] = 1.0
-    # keep the rhs column nonnegative: drift below zero poisons the ratio test
-    np.maximum(T[:-1, -1], 0.0, out=T[:-1, -1])
-    basis[r] = j
 
 
-def _choose_entering(obj_row: np.ndarray, allowed: np.ndarray, bland: bool) -> int:
-    rc = np.where(allowed, obj_row, -np.inf)
+class _Basis:
+    """B⁻¹, β and the basic columns of one LP in standard form.
+
+    No standard-form matrix is built.  Column j < nv is the structural
+    column ``orient * rows[:, j]``; column nv + t is the slack (+1) or
+    surplus (-1) of row ``aux_rows[t]``; column n_real + t is the
+    artificial of row ``art_rows[t]``.  The starting basis holds one slack
+    or artificial per row, each a unit column, so it starts as B = I.
+    """
+
+    def __init__(self, lp: LinearProgram, orient: np.ndarray, aux_rows: np.ndarray,
+                 aux_sign: np.ndarray, art_rows: np.ndarray, basis: np.ndarray):
+        self.rows = lp.rows
+        self.orient = orient
+        self.nv = lp.num_vars
+        self.aux_rows = aux_rows
+        self.aux_sign = aux_sign
+        self.art_rows = art_rows
+        self.n_real = self.nv + len(aux_rows)
+        self.basis = basis
+        self.binv = np.eye(len(basis))
+        self.beta = lp.rhs * orient
+        self.d = np.empty(self.n_real)  # reduced costs of the real columns
+
+    def price(self, cost: np.ndarray) -> np.ndarray:
+        """Reduced costs ``cost_j - y a_j`` of every real column, y = c_B B⁻¹."""
+        y = cost[self.basis] @ self.binv
+        d, nv = self.d, self.nv
+        np.matmul(y * self.orient, self.rows, out=d[:nv])
+        np.subtract(cost[:nv], d[:nv], out=d[:nv])
+        d[nv:] = -y[self.aux_rows] * self.aux_sign
+        d[self.basis[self.basis < self.n_real]] = 0.0
+        return d
+
+    def raw(self, j: int) -> np.ndarray:
+        """Column j of the oriented standard-form matrix."""
+        if j < self.nv:
+            return self.orient * self.rows[:, j]
+        a = np.zeros(len(self.basis))
+        if j < self.n_real:
+            a[self.aux_rows[j - self.nv]] = self.aux_sign[j - self.nv]
+        else:
+            a[self.art_rows[j - self.n_real]] = 1.0
+        return a
+
+    def column(self, j: int) -> np.ndarray:
+        """The transformed column B⁻¹ a_j."""
+        return self.binv @ self.raw(j)
+
+    def columns(self, idx: np.ndarray) -> np.ndarray:
+        """B⁻¹ A[:, idx] for sorted real column indices ``idx``."""
+        split = int(np.searchsorted(idx, self.nv))
+        out = np.empty((len(self.basis), idx.size))
+        out[:, :split] = (self.binv * self.orient) @ self.rows[:, idx[:split]]
+        aux = idx[split:] - self.nv
+        out[:, split:] = self.binv[:, self.aux_rows[aux]] * self.aux_sign[aux]
+        return out
+
+    def pivot(self, r: int, j: int, alpha: np.ndarray) -> None:
+        """Make column j basic in row r, given its transformed column ``alpha``."""
+        binv, beta = self.binv, self.beta
+        pivot_row = binv[r] / alpha[r]
+        pivot_value = beta[r] / alpha[r]
+        col = alpha.copy()
+        col[r] = 0.0
+        binv -= np.outer(col, pivot_row)
+        beta -= col * pivot_value
+        binv[r] = pivot_row
+        beta[r] = pivot_value
+        # keep β nonnegative: drift below zero poisons the ratio test
+        np.maximum(beta, 0.0, out=beta)
+        self.basis[r] = j
+
+    def basis_matrix(self) -> np.ndarray:
+        """The basic columns of the oriented standard-form matrix, built afresh."""
+        return np.column_stack([self.raw(j) for j in self.basis])
+
+
+def _choose_entering(d: np.ndarray, bland: bool) -> int:
     if bland:
-        idx = np.nonzero(rc > _RC_TOL)[0]
+        idx = np.flatnonzero(d > _RC_TOL)
         return int(idx[0]) if idx.size else -1
-    j = int(np.argmax(rc))
-    return j if rc[j] > _RC_TOL else -1
+    j = int(np.argmax(d))
+    return j if d[j] > _RC_TOL else -1
 
 
-def _choose_entering_rescue(T: np.ndarray, allowed: np.ndarray, m: int) -> int:
+def _choose_entering_rescue(st: _Basis, d: np.ndarray) -> int:
     """Plateau escape: the column whose pivot yields the largest actual gain.
 
     On a degenerate plateau every Dantzig/Bland pivot has ratio zero, so the
-    objective row never moves.  This scan prices every candidate column by
+    objective never moves.  This scan prices every candidate column by
     reduced cost times its min-ratio — the true objective gain of pivoting
     there — and returns the best strictly improving column, or -1 when every
     available pivot is degenerate (then only Bland's walk can change the
     basis).  A column with no positive entries prices at +inf, which is the
-    unbounded ray and is handled by the caller's ratio test.
+    unbounded ray and is handled by the caller's ratio test.  The candidates'
+    B⁻¹A columns are formed one block at a time.
     """
-    obj = T[m, :-1]
-    cand = np.nonzero(allowed & (obj > _RC_TOL))[0]
-    if cand.size == 0:
-        return -1
-    # running row-by-row minimum: no (m x cand) ratio matrix
-    min_ratio = np.full(cand.size, np.inf)
-    ratio = np.empty(cand.size)
-    for k in range(m):
-        col = T[k, cand]
-        ratio.fill(np.inf)
-        np.divide(T[k, -1], col, out=ratio, where=col > _PIVOT_TOL)
-        np.minimum(min_ratio, ratio, out=min_ratio)
-    gain = obj[cand] * min_ratio
-    best = int(np.argmax(gain))
-    if gain[best] <= 1e-12:
-        return -1
-    return int(cand[best])
+    cand = np.flatnonzero(d > _RC_TOL)
+    best, best_gain = -1, 1e-12
+    beta = st.beta[:, None]
+    for start in range(0, cand.size, _RESCUE_BLOCK):
+        idx = cand[start:start + _RESCUE_BLOCK]
+        cols = st.columns(idx)
+        ratio = np.full_like(cols, np.inf)
+        np.divide(beta, cols, out=ratio, where=cols > _PIVOT_TOL)
+        gain = d[idx] * ratio.min(axis=0)
+        k = int(np.argmax(gain))
+        if gain[k] > best_gain:
+            best, best_gain = int(idx[k]), gain[k]
+    return best
 
 
-def _choose_leaving(T: np.ndarray, basis: np.ndarray, m: int, j: int,
-                    lex_order: np.ndarray) -> int:
-    col = T[:m, j]
-    ok = col > _PIVOT_TOL
+def _choose_leaving(st: _Basis, alpha: np.ndarray) -> int:
+    ok = alpha > _PIVOT_TOL
     if not ok.any():
         return -1
-    ratios = np.full(m, np.inf)
-    ratios[ok] = T[:m, -1][ok] / col[ok]
-    best = ratios.min()
-    cand = np.nonzero(ratios == best)[0]
+    ratios = np.full(alpha.size, np.inf)
+    ratios[ok] = st.beta[ok] / alpha[ok]
+    cand = np.flatnonzero(ratios == ratios.min())
     if cand.size > 1:
-        # lexicographic tie-break: compare whole rows scaled by the pivot
-        # column, scanning the initial basis columns first so rows start
+        # lexicographic tie-break: compare the candidate rows of B⁻¹ scaled
+        # by the pivot column; B starts as I, so these rows start
         # lexicographically positive
-        inv = 1.0 / col[cand]
-        for c in lex_order:
-            vals = T[cand, c] * inv
+        inv = 1.0 / alpha[cand]
+        for c in range(st.binv.shape[1]):
+            vals = st.binv[cand, c] * inv
             keep = vals == vals.min()
             if not keep.all():
                 cand = cand[keep]
                 inv = inv[keep]
             if cand.size == 1:
                 break
-    return int(cand[np.argmin(basis[cand])]) if cand.size > 1 else int(cand[0])
+    return int(cand[np.argmin(st.basis[cand])]) if cand.size > 1 else int(cand[0])
 
 
-def _run_simplex(T: np.ndarray, W: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-                 m: int, budget: list[int], lex_order: np.ndarray) -> str:
+def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int], first: int = -1) -> str:
     """Iterate to optimality ('optimal') or detect 'unbounded'."""
     stall = 0
-    stall_limit = max(50, 2 * m)
+    stall_limit = max(50, 2 * len(st.basis))
     while True:
-        if stall:
+        d = st.price(cost)
+        if first >= 0 and d[first] > _RC_TOL:
+            j = first
+        elif stall:
             # The last pivot was degenerate, so we are on a plateau.  Look
             # for a pivot with a strictly positive ratio anywhere — it leaves
             # the plateau in one step.  This must happen immediately: a few
@@ -228,33 +307,39 @@ def _run_simplex(T: np.ndarray, W: np.ndarray, basis: np.ndarray, allowed: np.nd
             # When no escape exists yet, keep Dantzig, and drop to Bland's
             # rule only after a long run (its lowest-index walk is the
             # worst-case-proof fallback, not a good default).
-            j = _choose_entering_rescue(T, allowed, m)
+            j = _choose_entering_rescue(st, d)
             if j < 0:
-                j = _choose_entering(T[m, :-1], allowed,
-                                     bland=stall >= stall_limit)
+                j = _choose_entering(d, bland=stall >= stall_limit)
         else:
-            j = _choose_entering(T[m, :-1], allowed, bland=False)
+            j = _choose_entering(d, bland=False)
+        first = -1
         if j < 0:
             return "optimal"
-        r = _choose_leaving(T, basis, m, j, lex_order)
+        alpha = st.column(j)
+        r = _choose_leaving(st, alpha)
         if r < 0:
             return "unbounded"
         if budget[0] <= 0:
             raise NumericalError("simplex iteration cap exceeded")
         budget[0] -= 1
-        before = T[m, -1]
-        _pivot(T, W, basis, r, j)
-        if T[m, -1] < before - 1e-12:  # objective row stores -objective
-            stall = 0
-        else:
-            stall += 1
+        gain = d[j] * (st.beta[r] / alpha[r])
+        st.pivot(r, j, alpha)
+        stall = 0 if gain > 1e-12 else stall + 1
 
 
-def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
-    """Two-phase simplex; returns primal and dual with certified optimality."""
+def solve(lp: LinearProgram, tol: Tolerances | None = None,
+          first_column: int | None = None) -> LpSolution:
+    """Two-phase simplex; returns primal and dual with certified optimality.
+
+    ``first_column``, a structural column index, enters at the first pivot
+    when its reduced cost is positive; otherwise the entering rule picks.
+    """
     tol = tol or Tolerances()
     m, nv = lp.num_constraints, lp.num_vars
     budget = [50 * (nv + m)]
+    if first_column is not None and not 0 <= first_column < nv:
+        raise UsageError(f"first_column {first_column} is not a column of the LP")
+    first = -1 if first_column is None else int(first_column)
 
     if m == 0:
         if (lp.c > _RC_TOL).any():
@@ -280,111 +365,60 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
                 orient[k] = -1.0
             needs_art[k] = True
 
-    aux_rows = np.nonzero(aux_sign != 0)[0]
-    n_aux = len(aux_rows)
-    art_rows = np.nonzero(needs_art)[0]
-    n_art = len(art_rows)
-    n_real = nv + n_aux          # columns that survive into phase 2
-    ncols = n_real + n_art
-
-    # the tableau is built straight from the oriented rows; W is the one
-    # workspace every pivot's rank-1 update reuses
-    T = np.zeros((m + 1, ncols + 1))
-    np.multiply(lp.rows, orient[:, None], out=T[:m, :nv])
-    T[:m, -1] = lp.rhs * orient
-    W = np.empty_like(T)
+    aux_rows = np.flatnonzero(aux_sign != 0)
+    art_rows = np.flatnonzero(needs_art)
+    n_real = nv + len(aux_rows)          # columns that survive into phase 2
     basis = np.empty(m, dtype=np.int64)
     for idx, k in enumerate(aux_rows):
-        T[k, nv + idx] = aux_sign[k]
         if not needs_art[k]:
             basis[k] = nv + idx
     for idx, k in enumerate(art_rows):
-        T[k, n_real + idx] = 1.0
         basis[k] = n_real + idx
-
-    allowed = np.zeros(ncols, dtype=bool)
-    allowed[:n_real] = True  # artificial columns never (re)enter
-
-    nonbasic = np.ones(ncols, dtype=bool)
-    nonbasic[basis] = False
-    lex_order = np.concatenate([basis, np.flatnonzero(nonbasic)])
+    st = _Basis(lp, orient, aux_rows, aux_sign[aux_rows], art_rows, basis)
 
     iterations_used = lambda: 50 * (nv + m) - budget[0]
 
     # --- phase 1 ------------------------------------------------------------
-    if n_art:
-        cost1 = np.zeros(ncols)
+    if art_rows.size:
+        cost1 = np.zeros(n_real + art_rows.size)
         cost1[n_real:] = -1.0
-        T[m, :-1] = cost1
-        T[m, -1] = 0.0
-        for k in range(m):
-            if cost1[basis[k]] != 0.0:
-                T[m] -= cost1[basis[k]] * T[k]
-        status = _run_simplex(T, W, basis, allowed, m, budget, lex_order)
-        if status != "optimal":
+        if _run_simplex(st, cost1, budget, first) != "optimal":
             raise NumericalError("phase 1 reported unbounded; artificial objective is bounded")
-        # top row stores -objective, so T[m, -1] equals the artificial sum
-        if T[m, -1] > tol.feas_tol:
+        first = -1
+        if st.beta[basis >= n_real].sum() > tol.feas_tol:
             return LpSolution("infeasible", np.zeros(nv), np.nan, np.zeros(m),
                               iterations=iterations_used())
-        # pivot leftover artificials out of the basis; drop rows that are
-        # linearly dependent on earlier ones
-        drop = []
+        # pivot leftover artificials out of the basis; an artificial whose
+        # row of B⁻¹A is zero marks a row dependent on the others, and it
+        # stays basic at zero (its dual is 0, as if the row were dropped)
         for r in range(m):
             if basis[r] >= n_real:
-                cand = np.nonzero(np.abs(T[r, :n_real]) > _PIVOT_TOL)[0]
+                rho = st.binv[r]
+                row = np.concatenate([(rho * orient) @ lp.rows,
+                                      rho[aux_rows] * st.aux_sign])
+                cand = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
                 if cand.size:
-                    _pivot(T, W, basis, r, int(cand[0]))
-                    T[r, -1] = max(T[r, -1], 0.0)
-                else:
-                    drop.append(r)
-        if drop:
-            keep = [r for r in range(m) if r not in drop]
-            T = np.vstack([T[keep], T[m:]])
-            W = W[:len(keep) + 1]
-            basis = basis[keep]
-        else:
-            keep = list(range(m))
-    else:
-        keep = list(range(m))
-    m_eff = len(keep)
+                    j = int(cand[0])
+                    st.pivot(r, j, st.column(j))
 
     # --- phase 2 ------------------------------------------------------------
-    c_ext = np.zeros(ncols)
+    c_ext = np.zeros(n_real + art_rows.size)
     c_ext[:nv] = lp.c
-    T[m_eff, :-1] = c_ext
-    T[m_eff, -1] = 0.0
-    for k in range(m_eff):
-        if c_ext[basis[k]] != 0.0:
-            T[m_eff] -= c_ext[basis[k]] * T[k]
-    status = _run_simplex(T, W, basis, allowed, m_eff, budget, lex_order)
-    if status == "unbounded":
+    if _run_simplex(st, c_ext, budget, first) == "unbounded":
         return LpSolution("unbounded", np.zeros(nv), np.inf, np.zeros(m),
                           iterations=iterations_used())
 
-    x = np.zeros(n_real)
-    x[basis] = np.maximum(T[:m_eff, -1], 0.0)
-    x_struct = x[:nv].copy()
+    x_struct = np.zeros(nv)
+    structural = basis < nv
+    x_struct[basis[structural]] = np.maximum(st.beta[structural], 0.0)
     objective = float(lp.c @ x_struct)
 
     # --- dual from the final basis -------------------------------------------
-    # B holds the m_eff basic columns of the oriented standard-form matrix
-    B = np.zeros((m_eff, m_eff))
-    row_pos = {k: pos for pos, k in enumerate(keep)}
-    for pos, j in enumerate(basis):
-        if j < nv:
-            B[:, pos] = lp.rows[keep, j] * orient[keep]
-        else:
-            k = aux_rows[j - nv]
-            if k in row_pos:
-                B[row_pos[k], pos] = aux_sign[k]
     try:
-        y_std = np.linalg.solve(B.T, c_ext[basis])
+        y_std = np.linalg.solve(st.basis_matrix().T, c_ext[basis])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular basis while extracting dual: {exc}") from exc
-    y = np.zeros(m)
-    for pos, k in enumerate(keep):
-        y[k] = orient[k] * y_std[pos]
+    y = orient * y_std
 
     # --- certificates ---------------------------------------------------------
     report = check_feasible(lp, x_struct, tol)

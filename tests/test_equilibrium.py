@@ -102,7 +102,7 @@ def _masked_verify_ce(dist, devices, params, tol=1e-7):
     """Reference CE check: boolean outcome masks and an XOR-gathered flip."""
     n = len(devices)
     profits = gm.profit_tensor(devices, params)
-    bits = gm.outcome_bits(n)
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     flipped = np.arange(2**n)
     worst = (0.0, None, None, None)
     for i in range(n):
@@ -164,6 +164,14 @@ def test_marginals_manual():
     # P((0,0))=.1 P((1,0))=.2 P((0,1))=.3 P((1,1))=.4 (device 0 = low bit)
     dist = CorrelatedDistribution(np.array([0.1, 0.2, 0.3, 0.4]), num_devices=2)
     assert marginals(dist) == pytest.approx([0.6, 0.7], abs=1e-15)
+
+
+def test_marginals_match_the_bit_matrix():
+    rng = np.random.default_rng(11)
+    for n in range(1, 11):
+        p = rng.dirichlet(np.ones(2**n))
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        assert marginals(CorrelatedDistribution(p, n)) == pytest.approx(p @ bits, abs=1e-14)
 
 
 def test_sample_decision_stream_golden():

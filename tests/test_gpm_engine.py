@@ -1,13 +1,18 @@
-"""The exact GPM solve: memory footprint, work done once, pinned pivot paths."""
+"""The exact GPM solve: memory footprint, work done once, pinned pivot paths,
+and agreement with HiGHS."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from fedpart import game_model as gm
 from fedpart import lp_core
 from fedpart.equilibrium import build_gpm, solve_gpm
+from fedpart.errors import UsageError
+from fedpart.rng import SplitMix64
 
 
 def _phase1_tableau_bytes(lp: lp_core.LinearProgram) -> int:
@@ -48,22 +53,96 @@ def test_solve_gpm_builds_the_profit_tensor_once(monkeypatch):
     assert len(calls) == 1
 
 
-# Recorded from the dense tableau engine before its copies were removed.
-# The support and the pivot count fix the pivot path; hashes of G are not
-# pinned, because the profit tensor's matmul may round differently under
-# another BLAS.  The distinct-size game runs the rescue scan and the
-# lexicographic ratio-test tie-break many times.
+def test_solve_peak_memory_is_a_fraction_of_the_rows():
+    # B⁻¹, a reduced-cost vector and blocked rescue columns; no tableau
+    lp = build_gpm(gm.random_devices(16, 3)).lp
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sol = lp_core.solve(lp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak <= 0.5 * lp.rows.nbytes, \
+        f"peak {peak} B is {peak / lp.rows.nbytes:.2f}x the rows"
+
+
+def highs_optimum(lp: lp_core.LinearProgram) -> float:
+    """The LP's optimum from scipy's HiGHS: '>=' rows negated into A_ub."""
+    ge = np.array([s == lp_core.GE for s in lp.senses])
+    res = linprog(-lp.c, A_ub=-lp.rows[ge], b_ub=-lp.rhs[ge],
+                  A_eq=lp.rows[~ge], b_eq=lp.rhs[~ge], bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def devices_of(sizes):
+    return [gm.DeviceProfile(id=i, data_size=float(s)) for i, s in enumerate(sizes)]
+
+
+# Both paths to the optimum: solve_gpm enters the best pure Nash equilibrium
+# first, and a bare lp_core.solve runs phase 1 from the identity basis.
+@given(st.one_of(
+    st.lists(st.sampled_from([50.0, 500.0]), min_size=1, max_size=8),
+    st.lists(st.floats(50, 1000).map(lambda v: round(v, 3)), min_size=1, max_size=8,
+             unique=True)))
+@settings(max_examples=60, deadline=None)
+def test_both_start_paths_match_highs(sizes):
+    devices = devices_of(sizes)
+    reference = highs_optimum(build_gpm(devices).lp)
+    assert solve_gpm(devices).total_profit == pytest.approx(reference, abs=1e-9)
+    sol = lp_core.solve(build_gpm(devices).lp)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(reference, abs=1e-9)
+
+
+def test_any_first_column_reaches_the_optimum():
+    lp = build_gpm(devices_of([50.0, 500.0, 500.0, 120.5])).lp
+    best = lp_core.solve(lp).objective_value
+    for k in range(lp.num_vars):  # pure equilibria and every other outcome
+        sol = lp_core.solve(lp, first_column=k)
+        assert sol.objective_value == pytest.approx(best, abs=1e-12), k
+    for bad in (-1, lp.num_vars):
+        with pytest.raises(UsageError):
+            lp_core.solve(lp, first_column=bad)
+
+
+# The pivot count and the support fix the pivot path; hashes of G are not
+# pinned, because the profit tensor may round differently under another
+# BLAS.  The objectives agree with HiGHS on the same LP: 2.9917697655149547
+# for two-size-n10 and 4.1280715419009715 for distinct-n11.  Both games
+# start at a pure Nash equilibrium.
 DISTINCT_11 = [113.56, 728.47, 459.002, 718.247, 165.023, 922.207, 980.866,
                175.545, 724.887, 543.1, 420.258]
 
 
 @pytest.mark.parametrize("devices, iterations, support, objective", [
-    (gm.random_devices(10, 2), 8, [1, 3, 5, 33, 65, 257], 2.991769765514954),
-    ([gm.DeviceProfile(id=i, data_size=s) for i, s in enumerate(DISTINCT_11)],
-     362, [32, 64, 66, 72, 258, 320], 4.128071541904994),
+    (gm.random_devices(10, 2), 7, [1, 3, 5, 33, 65, 257], 2.9917697655149547),
+    (devices_of(DISTINCT_11), 7, [32, 64, 66, 72, 258, 320], 4.1280715419009715),
 ], ids=["two-size-n10", "distinct-n11"])
 def test_pivot_path_is_pinned(devices, iterations, support, objective):
     sol = solve_gpm(devices)
     assert sol.lp_solution.iterations == iterations
     assert np.flatnonzero(sol.distribution.probabilities > 0).tolist() == support
     assert sol.total_profit == pytest.approx(objective, abs=1e-12)
+
+
+def splitmix_sizes(seed, n):
+    gen = SplitMix64(seed)
+    return [round(50 + 950 * gen.uniform(), 3) for _ in range(n)]
+
+
+# Two distinct-size games on which phase 1 from the identity basis never
+# left its degenerate plateau (8000 degenerate pivots in 24 s on the first).
+# The optima are HiGHS's; the pure-NE start took 19 and 15 pivots, running
+# the rescue scan and the lexicographic ratio-test tie-break several times.
+@pytest.mark.parametrize("sizes, objective, max_pivots", [
+    (splitmix_sizes(34, 14), 4.224171535418515, 40),
+    (splitmix_sizes(1, 16), 4.295150819234353, 30),
+], ids=["distinct-n14-seed34", "distinct-n16-seed1"])
+def test_plateau_games_solve(sizes, objective, max_pivots):
+    sol = solve_gpm(devices_of(sizes))
+    assert sol.total_profit == pytest.approx(objective, abs=1e-9)
+    assert sol.lp_solution.iterations <= max_pivots
