@@ -30,7 +30,8 @@ from .errors import (
 from .game_model import (
     DeviceProfile,
     GameParams,
-    device_profit,
+    device_profits,
+    pool_payment,
     profit_tensor,
     random_devices,
     total_profit,
@@ -46,13 +47,7 @@ from .equilibrium import (
     threshold_decision,
     verify_ce,
 )
-from .decomposition import (
-    DecomposedSolution,
-    cost_scaling_report,
-    partition,
-    solve_decomposed,
-    solve_sgpm,
-)
+from .decomposition import DecomposedSolution, partition, solve_decomposed
 from .mechanism import (
     DeviceMechParams,
     GameRule,
@@ -70,10 +65,12 @@ from .mechanism import (
 from .harness import (
     ExperimentConfig,
     ProtocolResult,
+    RoundSolution,
     compare_solvers,
     load_config,
     parse_config,
     run_protocol,
+    solve_round,
     sweep,
 )
 
@@ -97,6 +94,7 @@ __all__ = [
     "NumericalError",
     "ProtocolResult",
     "ReportOutOfRangeError",
+    "RoundSolution",
     "ServerMechParams",
     "SplitMix64",
     "Tolerances",
@@ -106,8 +104,7 @@ __all__ = [
     "build_gpm",
     "check_feasible",
     "compare_solvers",
-    "cost_scaling_report",
-    "device_profit",
+    "device_profits",
     "device_utility",
     "fit_power_law",
     "ic_check",
@@ -119,6 +116,7 @@ __all__ = [
     "optimal_rule",
     "parse_config",
     "partition",
+    "pool_payment",
     "predict_error",
     "profit_tensor",
     "random_devices",
@@ -128,7 +126,7 @@ __all__ = [
     "solve",
     "solve_decomposed",
     "solve_gpm",
-    "solve_sgpm",
+    "solve_round",
     "subset_seed",
     "sweep",
     "threshold_decision",

@@ -13,18 +13,14 @@ draws can land far below the direct objective; only seed-averaged means are
 comparable.
 
 Timing is measured with the subset solves serialized, so the per-subset
-wall-clocks sum to the total; `parallel=True` runs them on a thread pool
-and is excluded from timing comparisons.
+wall-clocks sum to the total.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from . import game_model as gm
 from .equilibrium import GpmSolution, sample_decision, solve_gpm
@@ -60,19 +56,6 @@ def partition(devices: Sequence[gm.DeviceProfile], xi: int) -> PartitionSpec:
                          assignment=tuple(assignment))
 
 
-def solve_sgpm(subset: Sequence[gm.DeviceProfile],
-               params: gm.GameParams | None = None,
-               tol: Tolerances | None = None) -> GpmSolution:
-    """Direct solve of the game restricted to ``subset``.
-
-    The incentive pool is evaluated over subset members only, so with the
-    full device list this is exactly the direct solver.
-    """
-    if not subset:
-        raise UsageError("subset must be nonempty")
-    return solve_gpm(subset, params, tol)
-
-
 @dataclass(frozen=True)
 class TimingBreakdown:
     subset_seconds: tuple[float, ...]
@@ -88,16 +71,12 @@ class DecomposedSolution:
     subset_objectives: tuple[float, ...]
     subset_solutions: tuple[GpmSolution, ...] = field(repr=False, default=())
 
-    def __iter__(self):
-        return iter((self.decision, self.reported_profit, self.timing))
-
 
 def solve_decomposed(devices: Sequence[gm.DeviceProfile],
                      params: gm.GameParams | None = None,
                      xi: int = 2,
                      seed: int = 0,
-                     tol: Tolerances | None = None,
-                     parallel: bool = False) -> DecomposedSolution:
+                     tol: Tolerances | None = None) -> DecomposedSolution:
     """Solve per-subset programs, sample one decision each, re-price globally.
 
     Subset j samples with seed ``seed + j`` (mod 2^64), so xi=1 reproduces
@@ -108,78 +87,21 @@ def solve_decomposed(devices: Sequence[gm.DeviceProfile],
     gm.validate_devices(devices)
     spec = partition(devices, xi)
 
-    def solve_one(j: int) -> tuple[GpmSolution, float]:
-        subset = [devices[k] for k in spec.assignment[j]]
-        t0 = time.perf_counter()
-        sol = solve_sgpm(subset, params, tol)
-        return sol, time.perf_counter() - t0
-
-    if parallel and xi > 1:
-        t_start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=xi) as pool:
-            results = list(pool.map(solve_one, range(xi)))
-        total = time.perf_counter() - t_start
-    else:
-        results = [solve_one(j) for j in range(xi)]
-        total = sum(t for _, t in results)
-
+    solutions, seconds = [], []
     decision = [0] * len(devices)
-    for j, (sol, _) in enumerate(results):
-        local = sample_decision(sol.distribution, subset_seed(seed, j))
-        for pos, k in enumerate(spec.assignment[j]):
-            decision[k] = local[pos]
+    for j, block in enumerate(spec.assignment):
+        t0 = time.perf_counter()
+        sol = solve_gpm([devices[k] for k in block], params, tol)
+        seconds.append(time.perf_counter() - t0)
+        solutions.append(sol)
+        for k, bit in zip(block, sample_decision(sol.distribution, subset_seed(seed, j))):
+            decision[k] = bit
     decision = tuple(decision)
-    profit = gm.total_profit(decision, devices, params)
     return DecomposedSolution(
         decision=decision,
-        reported_profit=profit,
-        timing=TimingBreakdown(subset_seconds=tuple(t for _, t in results),
-                               total_seconds=total),
+        reported_profit=gm.total_profit(decision, devices, params),
+        timing=TimingBreakdown(subset_seconds=tuple(seconds), total_seconds=sum(seconds)),
         partition_spec=spec,
-        subset_objectives=tuple(sol.total_profit for sol, _ in results),
-        subset_solutions=tuple(sol for sol, _ in results),
+        subset_objectives=tuple(sol.total_profit for sol in solutions),
+        subset_solutions=tuple(solutions),
     )
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    n: int
-    xi: int
-    max_subset_size: int
-    direct_seconds: float | None
-    decomposed_seconds: float
-    direct_profit: float | None
-    decomposed_profit: float
-
-
-def cost_scaling_report(n_list: Sequence[int],
-                        xi_rule: int | Callable[[int], int] = 2,
-                        params: gm.GameParams | None = None,
-                        seed: int = 0,
-                        size_choices: Sequence[float] = (50.0, 500.0),
-                        include_direct: bool = True) -> list[ScalingRow]:
-    """Wall-clock of direct vs decomposed solves across problem sizes.
-
-    Device sizes are drawn uniformly from ``size_choices`` with the given
-    seed (one stream per n, so adding an n does not shift the others).
-    ``include_direct=False`` skips the exponential-cost direct solve, which
-    is how sizes beyond the enumeration cap are timed.
-    """
-    params = params or gm.GameParams()
-    rows = []
-    for n in n_list:
-        xi = xi_rule(n) if callable(xi_rule) else xi_rule
-        devices = gm.random_devices(n, seed=subset_seed(seed, n),
-                                    size_choices=size_choices)
-        direct_s = direct_profit = None
-        if include_direct:
-            t0 = time.perf_counter()
-            direct = solve_gpm(devices, params)
-            direct_s = time.perf_counter() - t0
-            direct_profit = direct.total_profit
-        dec = solve_decomposed(devices, params, xi=xi, seed=seed)
-        rows.append(ScalingRow(
-            n=n, xi=xi, max_subset_size=dec.partition_spec.max_subset_size,
-            direct_seconds=direct_s, decomposed_seconds=dec.timing.total_seconds,
-            direct_profit=direct_profit, decomposed_profit=dec.reported_profit))
-    return rows

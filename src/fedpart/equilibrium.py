@@ -76,9 +76,9 @@ def sample_decision(dist: CorrelatedDistribution, seed: int) -> gm.Decision:
     return gm.decision_from_index(idx, dist.num_devices)
 
 
-def threshold_decision(dist: CorrelatedDistribution, cutoff: float = 0.5) -> gm.Decision:
-    """Deterministic extraction: participate where the marginal reaches the cutoff."""
-    return tuple(int(m >= cutoff) for m in marginals(dist))
+def threshold_decision(dist: CorrelatedDistribution) -> gm.Decision:
+    """Deterministic extraction: participate where the marginal reaches 1/2."""
+    return tuple(int(m >= 0.5) for m in marginals(dist))
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,6 @@ class GpmSolution:
     total_profit: float
     lp_solution: LpSolution
     program: GpmProgram
-
-    def __iter__(self):
-        # allows `dist, profit = solve_gpm(...)`
-        return iter((self.distribution, self.total_profit))
 
 
 def _best_pure_ne(lp: LinearProgram) -> int | None:

@@ -12,7 +12,6 @@ significant bit: outcome index ``k`` has device ``i`` participating iff
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,48 +92,43 @@ def decision_from_index(index: int, n: int) -> Decision:
     return tuple((index >> i) & 1 for i in range(n))
 
 
-def total_incentive(p: Sequence[int], devices: Sequence[DeviceProfile],
-                    game: GameParams) -> float:
-    """Reward pool for outcome ``p``: 0 with no participants, else the literal
-    formula (which can go negative when the contributed data is scarce)."""
+def pool_payment(totals, game: GameParams) -> np.ndarray:
+    """Reward pool ``alpha * (1 - err_a * S**-err_b)`` at each pooled data size S.
+
+    S = 0 pays nothing.  The formula is not clamped, so a pool of scarce
+    data goes negative.
+    """
+    totals = np.asarray(totals, dtype=float)
+    has_data = totals > 0
+    err = game.err_a * np.exp(-game.err_b * np.log(np.where(has_data, totals, 1.0)))
+    return np.where(has_data, game.alpha * (1.0 - err), 0.0)
+
+
+def device_profits(p: Sequence[int], devices: Sequence[DeviceProfile],
+                   game: GameParams) -> np.ndarray:
+    """Every device's profit at outcome ``p``: a participant's data share of
+    the pool less its cost; 0 for a device that sits out.
+
+    The arithmetic matches `profit_tensor` operation for operation, so row
+    ``decision_index(p)`` of the tensor holds the same floats.
+    """
     if len(p) != len(devices):
         raise UsageError("decision vector and device list lengths differ")
-    if not any(p):
-        return 0.0
-    total = sum(pi * d.data_size for pi, d in zip(p, devices))
-    if total > 0:
-        err = game.err_a * math.exp(-game.err_b * math.log(total))
-    elif game.err_b == 0:
-        err = game.err_a
-    else:
-        err = math.inf
-    return game.alpha * (1.0 - err)
-
-
-def device_cost(i: int, devices: Sequence[DeviceProfile]) -> float:
-    d = devices[i]
-    return d.beta * d.data_size + d.gamma * d.channel_cost
-
-
-def device_reward(i: int, p: Sequence[int], devices: Sequence[DeviceProfile],
-                  game: GameParams) -> float:
-    """Device i's data-proportional share of the pool; 0 when it sits out
-    or contributes no data."""
-    if p[i] == 0 or devices[i].data_size == 0:
-        return 0.0
-    total = sum(pj * d.data_size for pj, d in zip(p, devices))
-    return devices[i].data_size / (game.delta + total) * total_incentive(p, devices, game)
-
-
-def device_profit(i: int, p: Sequence[int], devices: Sequence[DeviceProfile],
-                  game: GameParams) -> float:
-    return device_reward(i, p, devices, game) - p[i] * device_cost(i, devices)
+    # summed in device order, as the tensor's doubling sums them
+    total = sum(d.data_size for pi, d in zip(p, devices) if pi)
+    pool = pool_payment(total, game)
+    out = np.zeros(len(devices))
+    for i, (pi, d) in enumerate(zip(p, devices)):
+        if pi:
+            share = d.data_size / (game.delta + total) * pool if d.data_size > 0 else 0.0
+            out[i] = share - (d.beta * d.data_size + d.gamma * d.channel_cost)
+    return out
 
 
 def total_profit(p: Sequence[int], devices: Sequence[DeviceProfile],
                  game: GameParams) -> float:
     """Sum of all device profits at outcome ``p`` (no enumeration involved)."""
-    return sum(device_profit(i, p, devices, game) for i in range(len(devices)))
+    return sum(device_profits(p, devices, game).tolist())
 
 
 def flip_pairs(values: np.ndarray, i: int) -> np.ndarray:
@@ -151,7 +145,7 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """(2**n, n) table of device profits over every joint outcome.
 
-    Row k column i equals ``device_profit(i, decision_from_index(k, n), ...)``.
+    Row k equals ``device_profits(decision_from_index(k, n), ...)``.
     Built one device column at a time; besides the result it holds only a
     few per-outcome vectors.
     """
@@ -169,12 +163,7 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
     for i, size in enumerate(sizes):
         h = 1 << i
         np.add(totals[:h], size, out=totals[h:2 * h])
-    with np.errstate(divide="ignore"):
-        err = np.where(totals > 0,
-                       game.err_a * np.exp(-game.err_b * np.log(np.where(totals > 0, totals, 1.0))),
-                       np.inf if game.err_b > 0 else game.err_a)
-    pool = game.alpha * (1.0 - err)
-    pool[0] = 0.0  # nobody participates
+    pool = pool_payment(totals, game)
     denom = game.delta + totals
 
     out = np.zeros((1 << n, n))
@@ -183,7 +172,8 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
         if size > 0:
             np.divide(size, flip_pairs(denom, i)[:, 1, :], out=joined)
             joined *= flip_pairs(pool, i)[:, 1, :]
-        joined -= device_cost(i, devices)
+        d = devices[i]
+        joined -= d.beta * d.data_size + d.gamma * d.channel_cost
     return out
 
 

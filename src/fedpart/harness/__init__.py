@@ -1,11 +1,13 @@
 """Experiment harness: config ingestion, protocol simulation, sweeps, CLI."""
 
 from .config import ExperimentConfig, load_config, parse_config
-from .protocol import ProtocolResult, ProtocolTrace, TraceEvent, run_protocol
+from .protocol import (ProtocolResult, ProtocolTrace, RoundSolution, TraceEvent,
+                       run_protocol, solve_round)
 from .sweeps import compare_solvers, default_grid, sweep
 
 __all__ = [
     "ExperimentConfig", "load_config", "parse_config",
-    "ProtocolResult", "ProtocolTrace", "TraceEvent", "run_protocol",
+    "ProtocolResult", "ProtocolTrace", "RoundSolution", "TraceEvent", "run_protocol",
+    "solve_round",
     "compare_solvers", "default_grid", "sweep",
 ]

@@ -29,16 +29,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .. import game_model as gm
-from ..decomposition import solve_decomposed
-from ..equilibrium import marginals, sample_decision, solve_gpm, threshold_decision
 from ..error_model import fit_power_law, load_points_csv
 from ..errors import CapacityError, NumericalError, UsageError
 from ..lp_core import Tolerances
-from ..mechanism import accepts, best_response, ic_check, max_device_utility, \
-    max_server_utility, optimal_rule
+from ..mechanism import closed_form_point, ic_check
 from .config import ExperimentConfig, effective_config_json, load_config
-from .protocol import run_protocol
+from .protocol import run_protocol, solve_round
 from .sweeps import compare_solvers, render_csv, sweep
 
 OUT_DIR_ENV = "FEDPART_OUT_DIR"
@@ -139,37 +135,19 @@ _SOLVE_HEADER = ["n", "mode", "xi", "seed", "objective", "marginals",
 
 
 def _cmd_solve(args, decomposed: bool) -> None:
-    cfg = _apply_overrides(load_config(args.config), args)
+    echo = cfg = _apply_overrides(load_config(args.config), args)
     if decomposed:
         xi = args.xi if args.xi is not None else cfg.solver.xi
-        cfg = replace(cfg, solver=replace(cfg.solver, mode="decomposed", xi=xi))
+        echo = cfg = replace(cfg, solver=replace(cfg.solver, mode="decomposed", xi=xi))
+    else:  # direct whatever the config's mode; the echo keeps the config as given
+        cfg = replace(cfg, solver=replace(cfg.solver, mode="direct"))
     seed = cfg.output.seed
     devices = cfg.realize_devices(seed)
     t0 = time.perf_counter()
-    if decomposed and len(devices) > 1:
-        xi = min(cfg.solver.xi, len(devices))
-        dec = solve_decomposed(devices, cfg.game, xi=xi, seed=seed,
-                               tol=cfg.solver.tolerances)
-        wall = time.perf_counter() - t0
-        row = [len(devices), "decomposed", xi, seed,
-               sum(dec.subset_objectives),
-               tuple(m for sub in dec.subset_solutions
-                     for m in marginals(sub.distribution)),
-               dec.decision,
-               tuple(b for sub in dec.subset_solutions
-                     for b in threshold_decision(sub.distribution)),
-               dec.reported_profit, dec.subset_objectives, wall,
-               effective_config_json(cfg, seed)]
-    else:
-        sol = solve_gpm(devices, cfg.game, tol=cfg.solver.tolerances,
-                        enumeration_cap=cfg.solver.enumeration_cap)
-        wall = time.perf_counter() - t0
-        sampled = sample_decision(sol.distribution, seed)
-        row = [len(devices), "direct", 1, seed, sol.total_profit,
-               tuple(float(m) for m in marginals(sol.distribution)),
-               sampled, threshold_decision(sol.distribution),
-               gm.total_profit(sampled, devices, cfg.game),
-               (sol.total_profit,), wall, effective_config_json(cfg, seed)]
+    r = solve_round(devices, cfg, seed)
+    wall = time.perf_counter() - t0
+    row = [len(devices), r.mode, r.xi, seed, r.objective, r.marginals, r.sampled,
+           r.threshold, r.profit, r.subset_objectives, wall, effective_config_json(echo, seed)]
     text = render_csv(_SOLVE_HEADER, [row], timing=args.timing)
     _emit(args, text, "solve-sgpm.csv" if decomposed else "solve-gpm.csv")
 
@@ -198,15 +176,10 @@ def _cmd_mechanism(args) -> None:
         raise UsageError("--values requires --sweep")
     mech0 = cfg.mech_for(0)
     srv = cfg.server
-    s_star = best_response(mech0.theta, srv, mech0)
-    ok = accepts(mech0.theta, srv, mech0)
     ic = ic_check(mech0.theta, srv, mech0)
     row = [mech0.theta, mech0.a_d, mech0.b_d, srv.a_e, srv.b_e, srv.sigma,
-           srv.rho, srv.s0, srv.r0, srv.horizon, s_star,
-           optimal_rule(mech0.theta, srv)(s_star) if s_star > 0 else srv.r0,
-           max_device_utility(mech0.theta, srv, mech0) if s_star > 0 else float("nan"),
-           max_server_utility(mech0.theta, srv, mech0) if s_star > 0 else float("nan"),
-           int(ok), int(ic.ok), ic.margin,
+           srv.rho, srv.s0, srv.r0, srv.horizon,
+           *closed_form_point(mech0.theta, srv, mech0), int(ic.ok), ic.margin,
            effective_config_json(cfg, cfg.output.seed)]
     header = ["theta", "a_d", "b_d", "a_e", "b_e", "sigma", "rho", "s0", "r0",
               "horizon", "s_star", "r_star", "u_device", "u_server", "accepted",

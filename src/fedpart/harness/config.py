@@ -28,7 +28,7 @@ Schema (all keys optional):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -248,7 +248,3 @@ def effective_config_json(cfg: ExperimentConfig, seed: int) -> str:
         "seed": seed,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def with_devices(cfg: ExperimentConfig, devices) -> ExperimentConfig:
-    return replace(cfg, devices=devices)

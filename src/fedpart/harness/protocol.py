@@ -5,7 +5,7 @@
        size (the rest keep silent and take no further part);
     3. the server infers each reporter's private type from the report,
        assembles the participation game over the reported sizes, and solves
-       it (directly or by subset decomposition);
+       it with `solve_round` (directly or by subset decomposition);
     4. each reporting device receives its component of one joint decision
        drawn from the solved distribution;
     5. the devices confirm the decision back to the server.
@@ -19,13 +19,58 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Sequence
 
 from .. import game_model as gm
 from ..decomposition import solve_decomposed
 from ..equilibrium import marginals, sample_decision, solve_gpm, threshold_decision
 from ..mechanism import accepts, best_response, infer_theta, optimal_rule
 from .config import ExperimentConfig
+
+
+@dataclass(frozen=True)
+class RoundSolution:
+    """One participation game, solved and turned into decisions."""
+
+    mode: str                            # "direct" or "decomposed"
+    xi: int                              # subsets solved; 1 when direct
+    objective: float                     # the optimum, or the sum of the subset optima
+    marginals: tuple[float, ...]         # per device, concatenated over subsets
+    sampled: gm.Decision                 # one joint decision drawn with the seed
+    threshold: gm.Decision               # the marginals rounded at 1/2
+    profit: float                        # the sampled decision priced in the full game
+    subset_objectives: tuple[float, ...]
+
+
+def solve_round(devices: Sequence[gm.DeviceProfile], cfg: ExperimentConfig,
+                seed: int) -> RoundSolution:
+    """Solve the game over ``devices`` as ``cfg.solver`` says.
+
+    The game is split into ``min(xi, n)`` subsets when the mode is
+    "decomposed" and there are at least two devices; otherwise it is solved
+    directly.
+    """
+    n = len(devices)
+    if cfg.solver.mode == "decomposed" and n > 1:
+        xi = min(cfg.solver.xi, n)
+        dec = solve_decomposed(devices, cfg.game, xi=xi, seed=seed,
+                               tol=cfg.solver.tolerances)
+        dists = [sub.distribution for sub in dec.subset_solutions]
+        return RoundSolution(
+            mode="decomposed", xi=xi, objective=sum(dec.subset_objectives),
+            marginals=tuple(float(m) for d in dists for m in marginals(d)),
+            sampled=dec.decision,
+            threshold=tuple(b for d in dists for b in threshold_decision(d)),
+            profit=dec.reported_profit, subset_objectives=dec.subset_objectives)
+    sol = solve_gpm(devices, cfg.game, tol=cfg.solver.tolerances,
+                    enumeration_cap=cfg.solver.enumeration_cap)
+    sampled = sample_decision(sol.distribution, seed)
+    return RoundSolution(
+        mode="direct", xi=1, objective=sol.total_profit,
+        marginals=tuple(float(m) for m in marginals(sol.distribution)),
+        sampled=sampled, threshold=threshold_decision(sol.distribution),
+        profit=gm.total_profit(sampled, devices, cfg.game),
+        subset_objectives=(sol.total_profit,))
 
 
 @dataclass(frozen=True)
@@ -57,9 +102,6 @@ class ProtocolResult:
     marginals: tuple[float, ...]        # over accepted devices
     threshold: gm.Decision              # threshold extraction over accepted devices
     seconds: float
-
-    def __iter__(self):
-        return iter((self.trace, self.decision, self.total_profit))
 
 
 def run_protocol(cfg: ExperimentConfig, seed: int | None = None) -> ProtocolResult:
@@ -110,27 +152,16 @@ def run_protocol(cfg: ExperimentConfig, seed: int | None = None) -> ProtocolResu
 
     game_devices = [replace(devices[pos], data_size=s)
                     for pos, s in zip(accepted, reported)]
-    if cfg.solver.mode == "decomposed" and cfg.solver.xi > 1:
-        xi = min(cfg.solver.xi, len(game_devices))
-        dec_sol = solve_decomposed(game_devices, cfg.game, xi=xi, seed=seed,
-                                   tol=cfg.solver.tolerances)
-        objective = sum(dec_sol.subset_objectives)
-        joint = dec_sol.decision
-        margs = tuple(float(b) for b in joint)  # per-subset samples; no joint G
-        thresh = joint
+    solved = solve_round(game_devices, cfg, seed)
+    if solved.mode == "decomposed":
         emit(3, "server", None, "decomposed game solved",
-             accepted=len(accepted), mode="decomposed", xi=xi,
-             subset_objectives=list(dec_sol.subset_objectives))
+             accepted=len(accepted), mode="decomposed", xi=solved.xi,
+             subset_objectives=list(solved.subset_objectives))
     else:
-        sol = solve_gpm(game_devices, cfg.game, tol=cfg.solver.tolerances,
-                        enumeration_cap=cfg.solver.enumeration_cap)
-        objective = sol.total_profit
-        joint = sample_decision(sol.distribution, seed)
-        margs = tuple(float(m) for m in marginals(sol.distribution))
-        thresh = threshold_decision(sol.distribution)
         emit(3, "server", None, "game solved", accepted=len(accepted),
-             mode="direct", objective=objective)
+             mode="direct", objective=solved.objective)
 
+    joint = solved.sampled
     decision = [0] * len(devices)
     for k, pos in enumerate(accepted):
         decision[pos] = joint[k]
@@ -142,10 +173,9 @@ def run_protocol(cfg: ExperimentConfig, seed: int | None = None) -> ProtocolResu
         emit(5, "device", devices[pos].id, "decision confirmed",
              participate=joint[k])
 
-    total = gm.total_profit(joint, game_devices, cfg.game)
     return ProtocolResult(
         trace=ProtocolTrace(tuple(events)), decision=tuple(decision),
-        total_profit=total, accepted_ids=tuple(devices[p].id for p in accepted),
-        reported_sizes=tuple(reported), objective=objective,
-        marginals=margs, threshold=thresh,
+        total_profit=solved.profit, accepted_ids=tuple(devices[p].id for p in accepted),
+        reported_sizes=tuple(reported), objective=solved.objective,
+        marginals=solved.marginals, threshold=solved.threshold,
         seconds=time.perf_counter() - t_start)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from dataclasses import replace
 from typing import Any, Sequence
@@ -30,12 +29,12 @@ import numpy as np
 
 from .. import game_model as gm
 from ..decomposition import solve_decomposed
-from ..equilibrium import marginals, sample_decision, solve_gpm, threshold_decision
+from ..equilibrium import solve_gpm
 from ..errors import UsageError
-from ..mechanism import (DeviceMechParams, accepts, best_response,
-                         max_device_utility, max_server_utility, optimal_rule)
+from ..mechanism import DeviceMechParams, closed_form_point
 from ..rng import subset_seed
 from .config import DeviceGenSpec, ExperimentConfig, effective_config_json
+from .protocol import solve_round
 
 MECH_AXES = ("theta", "a_d", "b_d", "a_e", "b_e", "sigma", "rho", "s0", "r0")
 GAME_AXES = ("s1", "n", "xi")
@@ -110,44 +109,16 @@ def _evaluate_point(cfg: ExperimentConfig, s1_override: float | None,
         devices[0] = replace(devices[0], data_size=s1_override)
 
     mech0 = cfg.mech_for(0)
-    srv = cfg.server
-    s_star = best_response(mech0.theta, srv, mech0)
-    r_star = optimal_rule(mech0.theta, srv)(s_star) if s_star > 0 else srv.r0
-    u_dev = max_device_utility(mech0.theta, srv, mech0) if s_star > 0 else float("nan")
-    u_srv = max_server_utility(mech0.theta, srv, mech0) if s_star > 0 else float("nan")
-    accepted = int(accepts(mech0.theta, srv, mech0))
-
+    s_star, r_star, u_dev, u_srv, accepted = closed_form_point(mech0.theta, cfg.server, mech0)
     t0 = time.perf_counter()
-    if cfg.solver.mode == "decomposed" and len(devices) > 1:
-        xi = min(cfg.solver.xi, len(devices))
-        dec = solve_decomposed(devices, cfg.game, xi=xi, seed=seed,
-                               tol=cfg.solver.tolerances)
-        objective = sum(dec.subset_objectives)
-        decision_sampled = dec.decision
-        margs = tuple(float(m) for sub in dec.subset_solutions
-                      for m in marginals(sub.distribution))
-        decision_threshold = tuple(b for sub in dec.subset_solutions
-                                   for b in threshold_decision(sub.distribution))
-        profit_sampled = dec.reported_profit
-        mode = "decomposed"
-    else:
-        sol = solve_gpm(devices, cfg.game, tol=cfg.solver.tolerances,
-                        enumeration_cap=cfg.solver.enumeration_cap)
-        objective = sol.total_profit
-        decision_sampled = sample_decision(sol.distribution, seed)
-        margs = tuple(float(m) for m in marginals(sol.distribution))
-        decision_threshold = threshold_decision(sol.distribution)
-        profit_sampled = gm.total_profit(decision_sampled, devices, cfg.game)
-        mode = "direct"
-        xi = 1
+    r = solve_round(devices, cfg, seed)
     wall = time.perf_counter() - t0
-
     return {
-        "seed": seed, "n": len(devices), "mode": mode, "xi": xi,
+        "seed": seed, "n": len(devices), "mode": r.mode, "xi": r.xi,
         "s_star": s_star, "r_star": r_star, "u_device": u_dev, "u_server": u_srv,
-        "accepted": accepted, "gpm_objective": objective,
-        "marginals": margs, "decision_sampled": decision_sampled,
-        "decision_threshold": decision_threshold, "profit_sampled": profit_sampled,
+        "accepted": accepted, "gpm_objective": r.objective,
+        "marginals": r.marginals, "decision_sampled": r.sampled,
+        "decision_threshold": r.threshold, "profit_sampled": r.profit,
         "wall_clock_s": wall,
     }
 
@@ -209,12 +180,10 @@ COMPARE_HEADER = [
 
 
 def compare_solvers(cfg: ExperimentConfig, n_list: Sequence[int], xi: int = 2,
-                    reps: int = STOCHASTIC_REPS,
-                    size_choices: Sequence[float] = (50.0, 500.0),
-                    ) -> tuple[list[str], list[list[Any]]]:
+                    reps: int = STOCHASTIC_REPS) -> tuple[list[str], list[list[Any]]]:
     """Direct vs decomposed profit and wall-clock, seed-averaged per n.
 
-    Sizes are drawn equiprobably from ``size_choices``; the decomposed
+    Sizes are drawn equiprobably from 50 and 500; the decomposed
     solver re-prices its sampled decision under the full game, so its
     profit column is a sample mean, not an optimum.
     """
@@ -231,7 +200,7 @@ def compare_solvers(cfg: ExperimentConfig, n_list: Sequence[int], xi: int = 2,
         improved_s = np.empty(reps)
         for rep in range(reps):
             dev_seed = subset_seed(base_seed, (n << 20) | rep)
-            devices = gm.random_devices(n, seed=dev_seed, size_choices=size_choices)
+            devices = gm.random_devices(n, seed=dev_seed)
             t0 = time.perf_counter()
             sol = solve_gpm(devices, cfg.game, tol=cfg.solver.tolerances,
                             enumeration_cap=cfg.solver.enumeration_cap)

@@ -210,6 +210,21 @@ def max_server_utility(theta: float, srv: ServerMechParams,
     return server_utility(rule(s_star), s_star, theta, srv, srv.horizon)
 
 
+def closed_form_point(theta: float, srv: ServerMechParams,
+                      dev: DeviceMechParams) -> tuple[float, float, float, float, int]:
+    """(s*, r*, u_device, u_server, accepted) for a truthful type theta.
+
+    With no positive report the rate stays at the intercept r0 and both
+    utilities are nan.
+    """
+    s_star = best_response(theta, srv, dev)
+    accepted = int(accepts(theta, srv, dev))
+    if s_star <= 0:
+        return s_star, srv.r0, math.nan, math.nan, accepted
+    return (s_star, optimal_rule(theta, srv)(s_star), max_device_utility(theta, srv, dev),
+            max_server_utility(theta, srv, dev), accepted)
+
+
 @dataclass(frozen=True)
 class IcReport:
     ok: bool

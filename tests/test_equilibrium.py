@@ -42,12 +42,6 @@ def test_three_device_mixed_golden():
     assert sol.total_profit == pytest.approx(OBJECTIVE_3DEV_MIXED, rel=1e-9)
 
 
-def test_solution_unpacks_as_pair():
-    dist, profit = solve_gpm(devices_of(500, 500))
-    assert isinstance(dist, CorrelatedDistribution)
-    assert profit == pytest.approx(OBJECTIVE_2DEV_500, abs=1e-9)
-
-
 def test_raw_constraint_count_formula():
     for n in range(1, 9):
         prog = build_gpm(devices_of(*([500] * n)))
@@ -195,8 +189,11 @@ def test_sample_decision_frequencies():
 def test_threshold_decision_cutoff():
     dist = CorrelatedDistribution(np.array([0.1, 0.2, 0.3, 0.4]), num_devices=2)
     assert threshold_decision(dist) == (1, 1)            # marginals (.6, .7)
-    assert threshold_decision(dist, cutoff=0.65) == (0, 1)
-    assert threshold_decision(dist, cutoff=0.95) == (0, 0)
+    # the cutoff is 1/2, inclusive
+    assert threshold_decision(
+        CorrelatedDistribution(np.array([0.3, 0.2, 0.3, 0.2]), num_devices=2)) == (0, 1)
+    assert threshold_decision(
+        CorrelatedDistribution(np.array([0.2, 0.5, 0.1, 0.2]), num_devices=2)) == (1, 0)
 
 
 def test_point_mass_and_validation():

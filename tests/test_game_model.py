@@ -24,37 +24,36 @@ def two_devices(s0=500.0, s1=500.0):
 
 
 def test_pool_value_both_in():
-    devs = two_devices()
-    game = gm.GameParams()
-    assert gm.total_incentive((1, 1), devs, game) == pytest.approx(
+    assert gm.pool_payment(1000.0, gm.GameParams()) == pytest.approx(
         POOL_BOTH_500, abs=1e-12)
 
 
 def test_pool_empty_decision_is_zero():
-    # No participants -> no training -> nothing to share, regardless of sizes.
-    assert gm.total_incentive((0, 0), two_devices(), gm.GameParams()) == 0.0
+    # No data pooled -> no training -> nothing to share.
+    assert gm.pool_payment(0.0, gm.GameParams()) == 0.0
+    assert gm.device_profits((0, 0), two_devices(), gm.GameParams()).tolist() == [0.0, 0.0]
 
 
 def test_pool_unclamped_when_small():
     # A tiny pool goes negative (error above 1): the model does not clamp it.
-    devs = [gm.DeviceProfile(id=0, data_size=10.0)]
-    assert gm.total_incentive((1,), devs, gm.GameParams()) < 0.0
+    assert gm.pool_payment(10.0, gm.GameParams()) < 0.0
 
 
 def test_device_reward_and_cost():
     devs = two_devices()
     game = gm.GameParams()
-    assert gm.device_reward(0, (1, 1), devs, game) == pytest.approx(
-        REWARD_BOTH_500, abs=1e-12)
-    assert gm.device_cost(0, devs) == pytest.approx(COST_500, abs=1e-15)
+    reward = 500.0 / (game.delta + 1000.0) * gm.pool_payment(1000.0, game)
+    assert reward == pytest.approx(REWARD_BOTH_500, abs=1e-12)
+    assert reward - gm.device_profits((1, 1), devs, game)[0] == pytest.approx(
+        COST_500, abs=1e-15)
     # a non-participant earns nothing and pays nothing
-    assert gm.device_profit(1, (1, 0), devs, game) == 0.0
+    assert gm.device_profits((1, 0), devs, game)[1] == 0.0
 
 
 def test_profit_scalars():
     devs = two_devices()
     game = gm.GameParams()
-    assert gm.device_profit(0, (1, 1), devs, game) == pytest.approx(
+    assert gm.device_profits((1, 1), devs, game)[0] == pytest.approx(
         PROFIT_BOTH_500_EACH, abs=1e-12)
     assert gm.total_profit((1, 1), devs, game) == pytest.approx(
         PROFIT_BOTH_500_TOTAL, abs=1e-12)
@@ -73,10 +72,9 @@ def test_small_solo_pool_is_loss():
 
 def test_zero_size_participant_gets_nothing():
     devs = [gm.DeviceProfile(id=0, data_size=0.0), gm.DeviceProfile(id=1, data_size=500.0)]
-    game = gm.GameParams()
-    assert gm.device_reward(0, (1, 1), devs, game) == 0.0
-    # it still pays its fixed channel cost when it participates
-    assert gm.device_profit(0, (1, 1), devs, game) == pytest.approx(-3.5, abs=1e-15)
+    # no share of the pool, but it still pays its fixed channel cost
+    assert gm.device_profits((1, 1), devs, gm.GameParams())[0] == pytest.approx(
+        -3.5, abs=1e-15)
 
 
 def test_decision_index_round_trip():
@@ -96,7 +94,7 @@ def test_profit_tensor_matches_scalars():
         p = gm.decision_from_index(idx, 2)
         for i in range(2):
             assert tensor[idx, i] == pytest.approx(
-                gm.device_profit(i, p, devs, game), abs=1e-12)
+                gm.device_profits(p, devs, game)[i], abs=1e-12)
     totals = gm.outcome_totals(tensor)
     assert totals[3] == pytest.approx(PROFIT_BOTH_500_TOTAL, abs=1e-12)
 
@@ -111,6 +109,22 @@ def test_profit_tensor_consistency_property(sizes, idx_seed):
     p = gm.decision_from_index(idx, len(devs))
     assert gm.total_profit(p, devs, game) == pytest.approx(
         float(tensor[idx].sum()), rel=1e-12, abs=1e-12)
+
+
+sizes_with_zeros = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2000.0)),
+                            min_size=1, max_size=8)
+
+
+@given(sizes_with_zeros, st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)))
+def test_repricing_equals_profit_tensor_exactly(sizes, err_b):
+    # One pool formula and one operation order: re-pricing one outcome gives
+    # the tensor row's floats, not merely close ones.
+    devs = [gm.DeviceProfile(id=i, data_size=s) for i, s in enumerate(sizes)]
+    game = gm.GameParams(err_b=err_b)
+    tensor = gm.profit_tensor(devs, game)
+    for k in range(tensor.shape[0]):
+        p = gm.decision_from_index(k, len(devs))
+        assert gm.total_profit(p, devs, game) == sum(tensor[k].tolist())
 
 
 def test_enumeration_cap_enforced():
@@ -162,9 +176,8 @@ def test_random_devices_validation():
 
 
 def test_pool_monotone_in_pool_size():
-    # With one participant, the pool payment rises with its data size.
+    # The pool payment rises with the pooled data size.
     game = gm.GameParams()
-    vals = [gm.total_incentive((1,), [gm.DeviceProfile(id=0, data_size=s)], game)
-            for s in (50.0, 200.0, 800.0, 3200.0)]
+    vals = gm.pool_payment([50.0, 200.0, 800.0, 3200.0], game).tolist()
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < game.alpha  # bounded above by alpha

@@ -16,7 +16,8 @@ from fedpart.harness.config import (
     load_config,
     parse_config,
 )
-from fedpart.harness.protocol import run_protocol
+from fedpart.harness.cli import main as cli_main
+from fedpart.harness.protocol import run_protocol, solve_round
 from fedpart.harness.sweeps import (
     SWEEP_HEADER,
     compare_solvers,
@@ -135,13 +136,6 @@ def test_protocol_two_devices_golden():
     assert again.decision == res.decision
 
 
-def test_protocol_unpacks():
-    trace, decision, profit = run_protocol(parse_config(TWO_DEV_DOC), seed=0)
-    assert decision == (1, 1)
-    assert profit == pytest.approx(PROTOCOL_2DEV_PROFIT, abs=1e-12)
-    assert len(trace.events) > 0
-
-
 def test_protocol_trace_ordering_per_device():
     res = run_protocol(parse_config(TWO_DEV_DOC), seed=0)
     for dev_id in (0, 1):
@@ -179,6 +173,75 @@ def test_protocol_decomposed_mode():
     res = run_protocol(parse_config(doc), seed=0)
     assert len(res.decision) == 4
     assert np.isfinite(res.total_profit)
+
+
+# The protocol, the sweeps and the CLI solve one round through one rule:
+# decomposed iff the mode says so and there are at least two devices.
+
+# Every device reports s* = 510 (theta = 1); the costlier first device of
+# each three-device subset makes the subset optimum a mixed distribution.
+MIXED_SUBSETS_DOC = {
+    "devices": [{"id": i, "data_size": 510.0, "channel_cost": w}
+                for i, w in enumerate([5e5, 3.5e5, 3.5e5] * 2)],
+    "mech": {"device": {"theta": 1.0}},
+    "solver": {"mode": "decomposed", "xi": 2},
+}
+
+
+def _step3(res):
+    (event,) = [e for e in res.trace.events if e.step == 3]
+    return event
+
+
+def _sgpm_row(doc, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "sgpm.csv"
+    assert cli_main(["solve-sgpm", str(cfg_path), "--out", str(out)]) == 0
+    header, row = out.read_text(encoding="utf-8").splitlines()[:2]
+    return dict(zip(header.split(","), row.split(",", maxsplit=header.count(","))))
+
+
+def _sweep_row(doc, xi):
+    header, rows = sweep(parse_config(doc), "xi", values=[xi], reps=1)
+    return dict(zip(header, rows[0]))
+
+
+def test_one_device_solves_direct_everywhere(tmp_path):
+    doc = {"devices": [{"id": 0, "data_size": 500.0}],
+           "solver": {"mode": "decomposed", "xi": 2}}
+    assert _step3(run_protocol(parse_config(doc), seed=0)).payload["mode"] == "direct"
+    assert _sweep_row(doc, 2)["mode"] == "direct"
+    assert _sgpm_row(doc, tmp_path)["mode"] == "direct"
+    cfg = parse_config(doc)
+    assert solve_round(cfg.realize_devices(0), cfg, 0).mode == "direct"
+
+
+def test_decomposed_protocol_reports_subset_marginals(tmp_path):
+    res = run_protocol(parse_config(MIXED_SUBSETS_DOC), seed=0)
+    assert res.reported_sizes == (510.0,) * 6
+    point = _sweep_row(MIXED_SUBSETS_DOC, 2)
+    assert point["mode"] == "decomposed"
+    assert res.marginals == point["marginals"]
+    assert res.threshold == point["decision_threshold"]
+    # the marginals are a distribution's, not the sampled bits
+    assert any(0.0 < m < 1.0 for m in res.marginals)
+    assert res.threshold != res.decision
+    cells = _sgpm_row(MIXED_SUBSETS_DOC, tmp_path)
+    assert cells["marginals"] == render_csv(["m"], [[res.marginals]]).split("\n")[1]
+    assert cells["decision_threshold"] == ";".join(str(b) for b in res.threshold)
+
+
+def test_xi_1_is_the_direct_solve_bit_for_bit():
+    direct_doc = dict(MIXED_SUBSETS_DOC, solver={"mode": "direct"})
+    one_doc = dict(MIXED_SUBSETS_DOC, solver={"mode": "decomposed", "xi": 1})
+    for seed in (0, 1, 5):
+        a = run_protocol(parse_config(direct_doc), seed=seed)
+        b = run_protocol(parse_config(one_doc), seed=seed)
+        assert (b.objective, b.decision, b.total_profit) == \
+            (a.objective, a.decision, a.total_profit)
+        assert (b.marginals, b.threshold) == (a.marginals, a.threshold)
+        assert _step3(b).payload["xi"] == 1
 
 
 # ---------------------------------------------------------------- sweeps ---
