@@ -76,12 +76,14 @@ def solve_decomposed(devices: Sequence[gm.DeviceProfile],
                      params: gm.GameParams | None = None,
                      xi: int = 2,
                      seed: int = 0,
-                     tol: Tolerances | None = None) -> DecomposedSolution:
+                     tol: Tolerances | None = None,
+                     enumeration_cap: int = gm.DEFAULT_ENUMERATION_CAP) -> DecomposedSolution:
     """Solve per-subset programs, sample one decision each, re-price globally.
 
     Subset j samples with seed ``seed + j`` (mod 2^64), so xi=1 reproduces
     the direct solve + sample bit-for-bit.  The returned profit is the full
-    coupled game's value of the concatenated decision.
+    coupled game's value of the concatenated decision.  ``enumeration_cap``
+    bounds each subset's device count, as it bounds the direct solve's.
     """
     params = params or gm.GameParams()
     gm.validate_devices(devices)
@@ -91,7 +93,7 @@ def solve_decomposed(devices: Sequence[gm.DeviceProfile],
     decision = [0] * len(devices)
     for j, block in enumerate(spec.assignment):
         t0 = time.perf_counter()
-        sol = solve_gpm([devices[k] for k in block], params, tol)
+        sol = solve_gpm([devices[k] for k in block], params, tol, enumeration_cap)
         seconds.append(time.perf_counter() - t0)
         solutions.append(sol)
         for k, bit in zip(block, sample_decision(sol.distribution, subset_seed(seed, j))):

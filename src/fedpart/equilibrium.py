@@ -28,7 +28,7 @@ import numpy as np
 
 from . import game_model as gm
 from .errors import NumericalError, UsageError
-from .lp_core import EQ, GE, LinearProgram, LpSolution, Tolerances, solve
+from .lp_core import LinearProgram, LpSolution, Tolerances, solve
 from .rng import SplitMix64
 
 CE_TOL = 1e-7
@@ -138,9 +138,7 @@ class GpmProgram:
 
     lp: LinearProgram
     num_devices: int
-    num_outcomes: int
     raw_constraint_count: int
-    solver_constraint_count: int
     profits: np.ndarray
 
 
@@ -162,14 +160,8 @@ def build_gpm(devices: Sequence[gm.DeviceProfile],
         for q in (0, 1):
             gm.flip_pairs(rows[2 * i + q], i)[:, q, :] = gains[:, q, :]
     rows[-1] = 1.0
-    senses = tuple([GE] * 2 * n + [EQ])
-    rhs = np.zeros(2 * n + 1)
-    rhs[-1] = 1.0
-    lp = LinearProgram(c=profits.sum(axis=1), rows=rows, senses=senses, rhs=rhs)
-    return GpmProgram(lp=lp, num_devices=n, num_outcomes=num,
-                      raw_constraint_count=num + 4 * n + 1,
-                      solver_constraint_count=2 * n + 1,
-                      profits=profits)
+    return GpmProgram(lp=LinearProgram(c=profits.sum(axis=1), rows=rows), num_devices=n,
+                      raw_constraint_count=num + 4 * n + 1, profits=profits)
 
 
 @dataclass(frozen=True)
@@ -180,35 +172,18 @@ class GpmSolution:
     program: GpmProgram
 
 
-def _best_pure_ne(lp: LinearProgram) -> int | None:
-    """The pure Nash equilibrium with the largest total profit, if any.
-
-    Outcome k is a pure NE when no device gains by flipping its action,
-    that is when column k is nonnegative in every deviation row.  Ties go
-    to the lowest outcome index.
-    """
-    stable = np.ones(lp.num_vars, dtype=bool)
-    for row in lp.rows[:-1]:
-        stable &= row >= 0
-    if not stable.any():
-        return None
-    return int(np.argmax(np.where(stable, lp.c, -np.inf)))
-
-
 def solve_gpm(devices: Sequence[gm.DeviceProfile],
               params: gm.GameParams | None = None,
               tol: Tolerances | None = None,
               enumeration_cap: int = gm.DEFAULT_ENUMERATION_CAP) -> GpmSolution:
-    """Maximize expected total profit over correlated equilibria."""
+    """Maximize expected total profit over correlated equilibria.
+
+    The solve starts at the pure Nash equilibrium with the largest total
+    profit, when the game has one (see :mod:`fedpart.lp_core`).
+    """
     params = params or gm.GameParams()
     program = build_gpm(devices, params, enumeration_cap=enumeration_cap)
-    sol = solve(program.lp, tol, first_column=_best_pure_ne(program.lp))
-    if sol.status == "infeasible":
-        # the all-abstain point mass always satisfies the q=1 rows vacuously,
-        # so an infeasible report can only mean the LP was assembled wrong
-        raise NumericalError("GPM reported infeasible; the constraint build is broken")
-    if sol.status != "optimal":
-        raise NumericalError(f"GPM solve ended with status {sol.status!r}")
+    sol = solve(program.lp, tol)
     dist = CorrelatedDistribution(sol.x, program.num_devices)
     check = _check_ce(dist.probabilities, program.profits)
     if not check.ok:

@@ -177,11 +177,6 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
     return out
 
 
-def outcome_totals(profits: np.ndarray) -> np.ndarray:
-    """Total profit per outcome given a profit tensor."""
-    return profits.sum(axis=1)
-
-
 def random_devices(n: int, seed: int,
                    size_choices: Sequence[float] = (50.0, 500.0),
                    probabilities: Sequence[float] | None = None,

@@ -10,7 +10,7 @@ Subcommands:
     compare    <config.json> --n-list 2,4,...  direct-vs-decomposed table
 
 Common flags: --out PATH (default $FEDPART_OUT_DIR/<subcommand>.csv, else
-stdout), --seed U64, --tol FLOAT, --format csv, --timing.  Exit codes:
+stdout), --seed U64, --tol FLOAT, --timing.  Exit codes:
 0 success, 2 usage error, 3 capacity error, 4 numerical failure.
 
 Output is CSV with 9-significant-digit numbers; rerunning any subcommand
@@ -46,7 +46,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override the config's run seed")
     p.add_argument("--tol", type=float,
                    help="feasibility/slackness tolerance (gap tolerance is 10x)")
-    p.add_argument("--format", default="csv", help="output format (only csv)")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock columns (breaks byte-identical reruns)")
 
@@ -115,11 +114,6 @@ def _emit(args: argparse.Namespace, text: str, default_name: str) -> None:
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}")
     print(f"wrote {path} ({text.count(chr(10)) - 1} rows)", file=sys.stderr)
-
-
-def _check_format(args: argparse.Namespace) -> None:
-    if args.format != "csv":
-        raise UsageError(f"unsupported output format {args.format!r} (only csv)")
 
 
 def _cmd_fit_error(args) -> None:
@@ -225,7 +219,6 @@ def _cmd_compare(args) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_format(args)
         if args.command == "fit-error":
             _cmd_fit_error(args)
         elif args.command == "solve-gpm":

@@ -54,7 +54,8 @@ def solve_round(devices: Sequence[gm.DeviceProfile], cfg: ExperimentConfig,
     if cfg.solver.mode == "decomposed" and n > 1:
         xi = min(cfg.solver.xi, n)
         dec = solve_decomposed(devices, cfg.game, xi=xi, seed=seed,
-                               tol=cfg.solver.tolerances)
+                               tol=cfg.solver.tolerances,
+                               enumeration_cap=cfg.solver.enumeration_cap)
         dists = [sub.distribution for sub in dec.subset_solutions]
         return RoundSolution(
             mode="decomposed", xi=xi, objective=sum(dec.subset_objectives),

@@ -207,7 +207,8 @@ def compare_solvers(cfg: ExperimentConfig, n_list: Sequence[int], xi: int = 2,
             direct_s[rep] = time.perf_counter() - t0
             direct_profit[rep] = sol.total_profit
             dec = solve_decomposed(devices, cfg.game, xi=min(xi, n), seed=dev_seed,
-                                   tol=cfg.solver.tolerances)
+                                   tol=cfg.solver.tolerances,
+                                   enumeration_cap=cfg.solver.enumeration_cap)
             improved_s[rep] = dec.timing.total_seconds
             improved_profit[rep] = dec.reported_profit
         rows.append([n, xi, reps,

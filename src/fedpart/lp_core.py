@@ -1,7 +1,16 @@
-"""Revised two-phase simplex for maximization LPs with a dual certificate.
+"""Revised two-phase simplex for the correlated-equilibrium program.
 
-Problem form: maximize ``c @ x`` subject to ``rows[k] @ x >= rhs[k]`` or
-``rows[k] @ x == rhs[k]`` and ``x >= 0``.
+The engine solves one form: maximize ``c @ x`` subject to
+``rows[:-1] @ x >= 0`` (the deviation rows), ``rows[-1] @ x == 1`` (the
+normalization, a row of ones) and ``x >= 0``.  Every finite game has a
+correlated equilibrium and the feasible set lies on the probability
+simplex, so such a program is always feasible and bounded; an end that says
+otherwise is a numerical failure and raises :class:`NumericalError`.
+
+The standard form is fixed.  Every deviation row is negated, so its slack
+is a unit column that starts basic at level 0; the normalization row gets
+the only artificial.  Column ``nv + k`` is the unit column of row k, so the
+starting basis is B = I.
 
 The engine never forms a tableau.  It keeps the m x m basis inverse B⁻¹
 and the basic values β = B⁻¹b, and works from the stored ``rows``:
@@ -13,6 +22,13 @@ and the basic values β = B⁻¹b, and works from the stored ``rows``:
 
 So a pivot reads ``rows`` once instead of rewriting an m x columns array,
 which suits the participation-game programs: m = 2n+1 rows and 2^n columns.
+
+Phase 1 first enters the feasible point mass with the largest objective,
+if there is one: a column that is nonnegative in every deviation row.  In a
+game that point mass is the best pure Nash equilibrium.  Every deviation
+row has rhs 0, so phase 1 otherwise starts on a degenerate plateau;
+entering a feasible point mass is one nondegenerate pivot that ends
+phase 1.  With none, phase 1 runs from the identity basis.
 
 The entering rule is Dantzig's (largest reduced cost, lowest index on ties).
 Immediately after any degenerate pivot it switches to a rescue scan that
@@ -26,21 +42,15 @@ The leaving rule breaks ratio-test ties lexicographically on the rows of
 B⁻¹, which is the classic symbolic perturbation: it makes every pivot
 strictly improving in the perturbed sense, so no basis can repeat under any
 entering rule, and termination is finite regardless of how entering columns
-are picked.  Basic values that drift below zero are clamped to zero.
+are picked.  Basic values that drift below zero are clamped to zero.  All
+tie-breaking is by lowest index, so a given program always produces
+bit-identical output.
 
-A caller that knows a good first vertex passes ``first_column``: that
-column enters at the first pivot when it prices in.  For the participation
-game a pure Nash equilibrium is such a column.  Every deviation row has rhs
-0, so phase 1 otherwise starts on a degenerate plateau; entering a pure
-equilibrium is one nondegenerate pivot that ends phase 1.  All tie-breaking
-is by lowest index, so a given program always produces bit-identical
-output.
-
-An ``optimal`` result carries the dual vector, taken from one fresh solve
-against the final basis columns rather than from the updated inverse, and
-has been checked against primal feasibility, dual feasibility,
-complementary slackness and the duality gap; a violation raises
-:class:`NumericalError` instead of returning quietly.
+A result carries the dual vector, taken from one fresh solve against the
+final basis columns rather than from the updated inverse, and has been
+checked against primal feasibility, dual feasibility, complementary
+slackness and the duality gap; a violation raises :class:`NumericalError`
+instead of returning quietly.
 """
 
 from __future__ import annotations
@@ -56,9 +66,6 @@ _PIVOT_TOL = 1e-10
 _RC_TOL = 1e-9
 _RESCUE_BLOCK = 1024  # candidate columns per B⁻¹A block in the rescue scan
 
-GE = ">="
-EQ = "="
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -69,27 +76,25 @@ class Tolerances:
 
 @dataclass
 class LinearProgram:
-    """maximize c @ x  s.t.  rows @ x (>= | =) rhs,  x >= 0."""
+    """maximize c @ x  s.t.  rows[:-1] @ x >= 0,  rows[-1] @ x == 1,  x >= 0.
+
+    The last row must be all ones.
+    """
 
     c: np.ndarray
     rows: np.ndarray
-    senses: tuple[str, ...]
-    rhs: np.ndarray
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         self.rows = np.asarray(self.rows, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.rows.ndim != 2:
-            self.rows = self.rows.reshape(len(self.rhs), -1)
-        m, nv = self.rows.shape
-        if self.c.shape != (nv,) or self.rhs.shape != (m,) or len(self.senses) != m:
+        if self.rows.ndim != 2 or 0 in self.rows.shape:
+            raise UsageError("LP rows must be a 2-D array with at least one row and column")
+        if self.c.shape != (self.num_vars,):
             raise UsageError("inconsistent LP dimensions")
-        if any(s not in (GE, EQ) for s in self.senses):
-            raise UsageError(f"constraint senses must be '{GE}' or '{EQ}'")
-        if not (np.isfinite(self.c).all() and np.isfinite(self.rows).all()
-                and np.isfinite(self.rhs).all()):
+        if not (np.isfinite(self.c).all() and np.isfinite(self.rows).all()):
             raise UsageError("LP data must be finite (no NaN/Inf)")
+        if not (self.rows[-1] == 1.0).all():
+            raise UsageError("the last LP row must be the normalization, all ones")
 
     @property
     def num_vars(self) -> int:
@@ -99,10 +104,19 @@ class LinearProgram:
     def num_constraints(self) -> int:
         return self.rows.shape[0]
 
+    @property
+    def senses(self) -> tuple[str, ...]:
+        return (">=",) * (self.num_constraints - 1) + ("=",)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        rhs = np.zeros(self.num_constraints)
+        rhs[-1] = 1.0
+        return rhs
+
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray
     objective_value: float
     dual: np.ndarray
@@ -130,20 +144,16 @@ def check_feasible(lp: LinearProgram, x: Sequence[float],
     if x.shape != (lp.num_vars,):
         raise UsageError("x has the wrong length for this LP")
     ax = lp.rows @ x
-    resid = np.empty(lp.num_constraints)
-    for k, sense in enumerate(lp.senses):
-        if sense == GE:
-            resid[k] = max(0.0, lp.rhs[k] - ax[k])
-        else:
-            resid[k] = abs(ax[k] - lp.rhs[k])
+    resid = np.maximum(0.0, -ax)
+    resid[-1] = abs(ax[-1] - 1.0)
     bound = np.maximum(0.0, -x)
     worst = ""
     max_v = 0.0
-    if resid.size and resid.max() > max_v:
+    if resid.max() > max_v:
         k = int(resid.argmax())
         max_v = float(resid[k])
         worst = f"row[{k}] ({lp.senses[k]} {lp.rhs[k]:g})"
-    if bound.size and bound.max() > max_v:
+    if bound.max() > max_v:
         j = int(bound.argmax())
         max_v = float(bound[j])
         worst = f"x[{j}] >= 0"
@@ -152,30 +162,26 @@ def check_feasible(lp: LinearProgram, x: Sequence[float],
                              worst_label=worst)
 
 
-
-
 class _Basis:
-    """B⁻¹, β and the basic columns of one LP in standard form.
+    """B⁻¹, β and the basic columns of one program in standard form.
 
     No standard-form matrix is built.  Column j < nv is the structural
-    column ``orient * rows[:, j]``; column nv + t is the slack (+1) or
-    surplus (-1) of row ``aux_rows[t]``; column n_real + t is the
-    artificial of row ``art_rows[t]``.  The starting basis holds one slack
-    or artificial per row, each a unit column, so it starts as B = I.
+    column ``orient * rows[:, j]``, with orient -1 on the deviation rows and
+    +1 on the normalization.  Column nv + k is the unit column of row k: the
+    slack of deviation row k, or for k = m-1 the artificial, column
+    ``n_real``.  The starting basis holds them all, so it starts as B = I.
     """
 
-    def __init__(self, lp: LinearProgram, orient: np.ndarray, aux_rows: np.ndarray,
-                 aux_sign: np.ndarray, art_rows: np.ndarray, basis: np.ndarray):
+    def __init__(self, lp: LinearProgram):
+        m = lp.num_constraints
         self.rows = lp.rows
-        self.orient = orient
+        self.orient = np.ones(m)
+        self.orient[:-1] = -1.0
         self.nv = lp.num_vars
-        self.aux_rows = aux_rows
-        self.aux_sign = aux_sign
-        self.art_rows = art_rows
-        self.n_real = self.nv + len(aux_rows)
-        self.basis = basis
-        self.binv = np.eye(len(basis))
-        self.beta = lp.rhs * orient
+        self.n_real = self.nv + m - 1  # columns that survive into phase 2
+        self.basis = np.arange(self.nv, self.nv + m)
+        self.binv = np.eye(m)
+        self.beta = lp.rhs * self.orient
         self.d = np.empty(self.n_real)  # reduced costs of the real columns
 
     def price(self, cost: np.ndarray) -> np.ndarray:
@@ -184,7 +190,7 @@ class _Basis:
         d, nv = self.d, self.nv
         np.matmul(y * self.orient, self.rows, out=d[:nv])
         np.subtract(cost[:nv], d[:nv], out=d[:nv])
-        d[nv:] = -y[self.aux_rows] * self.aux_sign
+        d[nv:] = -y[:-1]
         d[self.basis[self.basis < self.n_real]] = 0.0
         return d
 
@@ -193,10 +199,7 @@ class _Basis:
         if j < self.nv:
             return self.orient * self.rows[:, j]
         a = np.zeros(len(self.basis))
-        if j < self.n_real:
-            a[self.aux_rows[j - self.nv]] = self.aux_sign[j - self.nv]
-        else:
-            a[self.art_rows[j - self.n_real]] = 1.0
+        a[j - self.nv] = 1.0
         return a
 
     def column(self, j: int) -> np.ndarray:
@@ -208,8 +211,7 @@ class _Basis:
         split = int(np.searchsorted(idx, self.nv))
         out = np.empty((len(self.basis), idx.size))
         out[:, :split] = (self.binv * self.orient) @ self.rows[:, idx[:split]]
-        aux = idx[split:] - self.nv
-        out[:, split:] = self.binv[:, self.aux_rows[aux]] * self.aux_sign[aux]
+        out[:, split:] = self.binv[:, idx[split:] - self.nv]
         return out
 
     def pivot(self, r: int, j: int, alpha: np.ndarray) -> None:
@@ -232,6 +234,21 @@ class _Basis:
         return np.column_stack([self.raw(j) for j in self.basis])
 
 
+def _first_column(lp: LinearProgram) -> int:
+    """The feasible point mass with the largest objective, or -1 if none is.
+
+    Column k is feasible as a point mass when it is nonnegative in every
+    deviation row; in a game that is a pure Nash equilibrium.  Ties go to
+    the lowest index.
+    """
+    stable = np.ones(lp.num_vars, dtype=bool)
+    for row in lp.rows[:-1]:
+        stable &= row >= 0
+    if not stable.any():
+        return -1
+    return int(np.argmax(np.where(stable, lp.c, -np.inf)))
+
+
 def _choose_entering(d: np.ndarray, bland: bool) -> int:
     if bland:
         idx = np.flatnonzero(d > _RC_TOL)
@@ -248,8 +265,8 @@ def _choose_entering_rescue(st: _Basis, d: np.ndarray) -> int:
     reduced cost times its min-ratio — the true objective gain of pivoting
     there — and returns the best strictly improving column, or -1 when every
     available pivot is degenerate (then only Bland's walk can change the
-    basis).  A column with no positive entries prices at +inf, which is the
-    unbounded ray and is handled by the caller's ratio test.  The candidates'
+    basis).  A column with no positive entries prices at +inf, which is an
+    unbounded ray; the caller's ratio test then raises.  The candidates'
     B⁻¹A columns are formed one block at a time.
     """
     cand = np.flatnonzero(d > _RC_TOL)
@@ -290,8 +307,8 @@ def _choose_leaving(st: _Basis, alpha: np.ndarray) -> int:
     return int(cand[np.argmin(st.basis[cand])]) if cand.size > 1 else int(cand[0])
 
 
-def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int], first: int = -1) -> str:
-    """Iterate to optimality ('optimal') or detect 'unbounded'."""
+def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int], first: int = -1) -> None:
+    """Pivot until no column prices in."""
     stall = 0
     stall_limit = max(50, 2 * len(st.basis))
     while True:
@@ -314,11 +331,13 @@ def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int], first: int = -
             j = _choose_entering(d, bland=False)
         first = -1
         if j < 0:
-            return "optimal"
+            return
         alpha = st.column(j)
         r = _choose_leaving(st, alpha)
         if r < 0:
-            return "unbounded"
+            raise NumericalError(
+                f"no leaving row for column {j}: an unbounded ray, which a program "
+                "on the probability simplex cannot have")
         if budget[0] <= 0:
             raise NumericalError("simplex iteration cap exceeded")
         budget[0] -= 1
@@ -327,86 +346,38 @@ def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int], first: int = -
         stall = 0 if gain > 1e-12 else stall + 1
 
 
-def solve(lp: LinearProgram, tol: Tolerances | None = None,
-          first_column: int | None = None) -> LpSolution:
-    """Two-phase simplex; returns primal and dual with certified optimality.
-
-    ``first_column``, a structural column index, enters at the first pivot
-    when its reduced cost is positive; otherwise the entering rule picks.
-    """
+def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
+    """Two-phase simplex; returns primal and dual with certified optimality."""
     tol = tol or Tolerances()
     m, nv = lp.num_constraints, lp.num_vars
-    budget = [50 * (nv + m)]
-    if first_column is not None and not 0 <= first_column < nv:
-        raise UsageError(f"first_column {first_column} is not a column of the LP")
-    first = -1 if first_column is None else int(first_column)
+    cap = 50 * (nv + m)
+    budget = [cap]
+    st = _Basis(lp)
+    basis, art = st.basis, st.n_real
 
-    if m == 0:
-        if (lp.c > _RC_TOL).any():
-            return LpSolution("unbounded", np.zeros(nv), np.inf, np.zeros(0))
-        return LpSolution("optimal", np.zeros(nv), 0.0, np.zeros(0))
-
-    # --- standard form -----------------------------------------------------
-    # '>=' rows with nonpositive rhs are flipped to '<=' so their slack can
-    # start basic; only unflipped '>=' rows and equalities need artificials.
-    orient = np.ones(m)
-    aux_sign = np.zeros(m)  # +1 slack, -1 surplus, 0 none (equality)
-    needs_art = np.zeros(m, dtype=bool)
-    for k, sense in enumerate(lp.senses):
-        if sense == GE:
-            if lp.rhs[k] <= 0:
-                orient[k] = -1.0
-                aux_sign[k] = 1.0
-            else:
-                aux_sign[k] = -1.0
-                needs_art[k] = True
-        else:
-            if lp.rhs[k] < 0:
-                orient[k] = -1.0
-            needs_art[k] = True
-
-    aux_rows = np.flatnonzero(aux_sign != 0)
-    art_rows = np.flatnonzero(needs_art)
-    n_real = nv + len(aux_rows)          # columns that survive into phase 2
-    basis = np.empty(m, dtype=np.int64)
-    for idx, k in enumerate(aux_rows):
-        if not needs_art[k]:
-            basis[k] = nv + idx
-    for idx, k in enumerate(art_rows):
-        basis[k] = n_real + idx
-    st = _Basis(lp, orient, aux_rows, aux_sign[aux_rows], art_rows, basis)
-
-    iterations_used = lambda: 50 * (nv + m) - budget[0]
-
-    # --- phase 1 ------------------------------------------------------------
-    if art_rows.size:
-        cost1 = np.zeros(n_real + art_rows.size)
-        cost1[n_real:] = -1.0
-        if _run_simplex(st, cost1, budget, first) != "optimal":
-            raise NumericalError("phase 1 reported unbounded; artificial objective is bounded")
-        first = -1
-        if st.beta[basis >= n_real].sum() > tol.feas_tol:
-            return LpSolution("infeasible", np.zeros(nv), np.nan, np.zeros(m),
-                              iterations=iterations_used())
-        # pivot leftover artificials out of the basis; an artificial whose
-        # row of B⁻¹A is zero marks a row dependent on the others, and it
-        # stays basic at zero (its dual is 0, as if the row were dropped)
-        for r in range(m):
-            if basis[r] >= n_real:
-                rho = st.binv[r]
-                row = np.concatenate([(rho * orient) @ lp.rows,
-                                      rho[aux_rows] * st.aux_sign])
-                cand = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
-                if cand.size:
-                    j = int(cand[0])
-                    st.pivot(r, j, st.column(j))
+    # --- phase 1: drive the normalization row's artificial to zero ----------
+    cost1 = np.zeros(art + 1)
+    cost1[art] = -1.0
+    _run_simplex(st, cost1, budget, _first_column(lp))
+    if st.beta[basis == art].sum() > tol.feas_tol:
+        raise NumericalError(
+            "phase 1 ended with a positive artificial: no point of the simplex meets "
+            "the deviation rows, which a game's program always can")
+    # pivot a leftover zero-level artificial out of the basis; if its row of
+    # B⁻¹A is zero the row depends on the others, and the artificial stays
+    # basic at zero (its dual is 0, as if the row were dropped)
+    for r in np.flatnonzero(basis == art):
+        rho = st.binv[r]
+        row = np.concatenate([(rho * st.orient) @ lp.rows, rho[:-1]])
+        cand = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
+        if cand.size:
+            j = int(cand[0])
+            st.pivot(r, j, st.column(j))
 
     # --- phase 2 ------------------------------------------------------------
-    c_ext = np.zeros(n_real + art_rows.size)
+    c_ext = np.zeros(art + 1)
     c_ext[:nv] = lp.c
-    if _run_simplex(st, c_ext, budget, first) == "unbounded":
-        return LpSolution("unbounded", np.zeros(nv), np.inf, np.zeros(m),
-                          iterations=iterations_used())
+    _run_simplex(st, c_ext, budget)
 
     x_struct = np.zeros(nv)
     structural = basis < nv
@@ -418,16 +389,14 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None,
         y_std = np.linalg.solve(st.basis_matrix().T, c_ext[basis])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular basis while extracting dual: {exc}") from exc
-    y = orient * y_std
+    y = st.orient * y_std
 
     # --- certificates ---------------------------------------------------------
     report = check_feasible(lp, x_struct, tol)
     primal_v = report.max_violation
     rc = lp.c - y @ lp.rows
-    dual_v = float(rc.max(initial=0.0))
-    for k, sense in enumerate(lp.senses):
-        if sense == GE:
-            dual_v = max(dual_v, float(y[k]))  # '>=' rows need y <= 0
+    # the deviation rows are '>=' rows of a maximization, so they need y <= 0
+    dual_v = float(max(rc.max(initial=0.0), y[:-1].max(initial=0.0)))
     slack = lp.rows @ x_struct - lp.rhs
     cs_v = float(np.max(np.abs(y * slack), initial=0.0))
     cs_v = max(cs_v, float(np.max(np.abs(x_struct * rc), initial=0.0)))
@@ -438,7 +407,7 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None,
             "optimality certificate failed: "
             f"primal={primal_v:.3e} dual={dual_v:.3e} cs={cs_v:.3e} gap={gap:.3e}")
 
-    return LpSolution("optimal", x_struct, objective, y,
-                      iterations=iterations_used(),
+    return LpSolution(x_struct, objective, y,
+                      iterations=cap - budget[0],
                       max_primal_violation=primal_v, max_dual_violation=dual_v,
                       max_cs_violation=cs_v, duality_gap=gap)

@@ -48,9 +48,8 @@ def test_raw_constraint_count_formula():
         assert prog.raw_constraint_count == 2**n + 4 * n + 1
         # nonnegativity lives in the variable bounds; trivial flip rows are
         # kept out of the solver matrix, leaving 2n CE rows + normalization
-        assert prog.solver_constraint_count == 2 * n + 1
         assert prog.lp.num_constraints == 2 * n + 1
-        assert prog.num_outcomes == 2**n
+        assert prog.lp.num_vars == 2**n
 
 
 def test_returned_distribution_is_ce():

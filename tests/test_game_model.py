@@ -95,7 +95,7 @@ def test_profit_tensor_matches_scalars():
         for i in range(2):
             assert tensor[idx, i] == pytest.approx(
                 gm.device_profits(p, devs, game)[i], abs=1e-12)
-    totals = gm.outcome_totals(tensor)
+    totals = tensor.sum(axis=1)
     assert totals[3] == pytest.approx(PROFIT_BOTH_500_TOTAL, abs=1e-12)
 
 

@@ -244,6 +244,17 @@ def test_xi_1_is_the_direct_solve_bit_for_bit():
         assert _step3(b).payload["xi"] == 1
 
 
+@pytest.mark.parametrize("cap, code", [(4, 3), (5, 0)])
+def test_decomposed_solves_keep_the_enumeration_cap(cap, code, tmp_path):
+    # ten devices in two subsets of five: a cap of 4 refuses each subgame
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "devices": {"count": 10},
+        "solver": {"mode": "decomposed", "xi": 2, "enumeration_cap": cap}}), encoding="utf-8")
+    for cmd in ("solve-sgpm", "simulate"):
+        assert cli_main([cmd, str(cfg_path), "--out", str(tmp_path / f"{cmd}.csv")]) == code
+
+
 # ---------------------------------------------------------------- sweeps ---
 
 def test_sweep_unknown_axis():
@@ -440,7 +451,8 @@ def test_cli_out_and_env_dir(cfg_file, tmp_path):
 
 def test_cli_exit_codes(cfg_file, tmp_path):
     assert run_cli("solve-gpm", str(tmp_path / "nope.json")).returncode == 2
-    assert run_cli("solve-gpm", str(cfg_file), "--format", "xml").returncode == 2
+    unknown = run_cli("solve-gpm", str(cfg_file), "--format", "csv")
+    assert unknown.returncode == 2 and "unrecognized arguments: --format" in unknown.stderr
     assert run_cli("mechanism", str(cfg_file), "--sweep", "bogus").returncode == 2
     big = tmp_path / "big.json"
     big.write_text(json.dumps(

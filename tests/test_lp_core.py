@@ -1,225 +1,191 @@
-"""Simplex core: agreement with scipy on random LPs, certificates, determinism."""
+"""Simplex core on correlated-equilibrium programs: agreement with HiGHS,
+certificates, determinism, and both phase-1 starts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from fedpart import lp_core
 from fedpart.errors import NumericalError, UsageError
 from fedpart.lp_core import LinearProgram, Tolerances, check_feasible, solve
 
 
-def scipy_solve(lp):
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for row, sense, rhs in zip(lp.rows, lp.senses, lp.rhs):
-        if sense == ">=":
-            A_ub.append(-np.asarray(row))
-            b_ub.append(-rhs)
-        else:
-            A_eq.append(np.asarray(row))
-            b_eq.append(rhs)
-    return linprog(
-        -np.asarray(lp.c),
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(0, None)] * len(lp.c),
-        method="highs",
-    )
+def ce_program(payoffs):
+    """The CE program of a binary-action game.
+
+    ``payoffs[k, i]`` is player i's payoff in outcome k, whose bit i is
+    player i's action.  Row 2i+q holds player i's gain from keeping action
+    q rather than flipping it, on the outcomes where it plays q.
+    """
+    payoffs = np.asarray(payoffs, dtype=float)
+    num, n = payoffs.shape
+    k = np.arange(num)
+    rows = np.zeros((2 * n + 1, num))
+    for i in range(n):
+        gain = payoffs[:, i] - payoffs[k ^ (1 << i), i]
+        for q in (0, 1):
+            rows[2 * i + q] = np.where((k >> i) & 1 == q, gain, 0.0)
+    rows[-1] = 1.0
+    return LinearProgram(c=payoffs.sum(axis=1), rows=rows)
 
 
-def random_lp(rng, nvars, nrows):
-    c = rng.uniform(-2, 2, nvars)
-    rows = rng.uniform(-1, 1, (nrows, nvars))
-    senses = tuple(rng.choice([">=", "="]) for _ in range(nrows))
-    rhs = rng.uniform(-1, 1, nrows)
-    return LinearProgram(c=c, rows=rows, senses=senses, rhs=rhs)
+def random_game(rng, normal):
+    """n <= 5 players; integer payoffs bring ties and degenerate vertices."""
+    n = int(rng.integers(1, 6))
+    if normal:
+        return ce_program(rng.normal(size=(2 ** n, n)))
+    return ce_program(rng.integers(-5, 6, size=(2 ** n, n)))
+
+
+def has_pure_equilibrium(lp):
+    """Some outcome is nonnegative in every deviation row."""
+    return bool((lp.rows[:-1] >= 0).all(axis=0).any())
+
+
+def highs_optimum(lp):
+    res = linprog(-lp.c, A_ub=-lp.rows[:-1], b_ub=np.zeros(lp.num_constraints - 1),
+                  A_eq=lp.rows[-1:], b_eq=[1.0], bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+# Chicken: outcome 0 both yield, 1 and 2 one dares, 3 both dare.
+CHICKEN = [[6, 6], [7, 2], [2, 7], [0, 0]]
+# Matching pennies: player 0 wins when the actions match.
+PENNIES = [[1, -1], [-1, 1], [-1, 1], [1, -1]]
 
 
 def test_simple_maximization():
     # max x0 + x1 s.t. x0 + x1 = 1, x >= 0 -> objective 1
-    lp = LinearProgram(c=[1.0, 1.0], rows=[[1.0, 1.0]], senses=("=",), rhs=[1.0])
-    sol = solve(lp)
-    assert sol.status == "optimal"
+    sol = solve(LinearProgram(c=[1.0, 1.0], rows=[[1.0, 1.0]]))
     assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
     assert np.sum(sol.x) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ge_constraint_binds():
-    # max -x0 s.t. x0 >= 3 -> x0 = 3, objective -3
-    lp = LinearProgram(c=[-1.0], rows=[[1.0]], senses=(">=",), rhs=[3.0])
+def test_chicken_from_the_pure_equilibrium():
+    # the best CE mixes both-yield with the two pure equilibria (welfare 9)
+    lp = ce_program(CHICKEN)
+    assert has_pure_equilibrium(lp)
     sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
-    assert sol.dual[0] == pytest.approx(-1.0, abs=1e-12)
+    assert sol.objective_value == pytest.approx(10.5, abs=1e-12)
+    assert sol.x == pytest.approx([0.5, 0.25, 0.25, 0.0], abs=1e-12)
 
 
-def test_infeasible_detected():
-    # x0 = 1 and x0 = 2 cannot both hold
-    lp = LinearProgram(c=[1.0], rows=[[1.0], [1.0]], senses=("=", "="), rhs=[1.0, 2.0])
-    assert solve(lp).status == "infeasible"
-
-
-def test_unbounded_detected():
-    lp = LinearProgram(c=[1.0], rows=[[1.0]], senses=(">=",), rhs=[0.0])
-    assert solve(lp).status == "unbounded"
+def test_matching_pennies_from_the_identity_basis():
+    # no pure equilibrium, so phase 1 starts from B = I; the only CE is uniform
+    lp = ce_program(PENNIES)
+    assert not has_pure_equilibrium(lp)
+    sol = solve(lp)
+    assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
+    assert sol.x == pytest.approx([0.25] * 4, abs=1e-12)
 
 
 def test_degenerate_rhs_zero():
-    # Many ties in the ratio test; must terminate and agree with scipy.
+    # Many ties in the ratio test; must terminate and agree with HiGHS.
     lp = LinearProgram(
         c=[1.0, 2.0, 3.0],
         rows=[[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 1.0, 1.0]],
-        senses=(">=", ">=", "="),
-        rhs=[0.0, 0.0, 1.0],
     )
-    sol = solve(lp)
-    ref = scipy_solve(lp)
-    assert sol.status == "optimal" and ref.status == 0
-    assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-9)
+    assert solve(lp).objective_value == pytest.approx(highs_optimum(lp), abs=1e-9)
 
 
 def test_matches_scipy_on_random_lps():
     rng = np.random.default_rng(20240501)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    starts = {True: 0, False: 0}
     for trial in range(120):
-        lp = random_lp(rng, nvars=int(rng.integers(1, 7)), nrows=int(rng.integers(1, 6)))
+        lp = random_game(rng, normal=trial % 2 == 0)
+        starts[has_pure_equilibrium(lp)] += 1
         sol = solve(lp)
-        ref = scipy_solve(lp)
-        statuses[sol.status] += 1
-        if ref.status == 0:
-            assert sol.status == "optimal", f"trial {trial}"
-            assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-7)
-        elif ref.status == 2:
-            assert sol.status == "infeasible", f"trial {trial}"
-        elif ref.status == 3:
-            assert sol.status == "unbounded", f"trial {trial}"
-    # the generator should have exercised every status
-    assert min(statuses.values()) > 0, statuses
+        assert sol.objective_value == pytest.approx(highs_optimum(lp), abs=1e-7), trial
+    # the generator must run phase 1 from a pure equilibrium and from B = I
+    assert min(starts.values()) > 0, starts
 
 
 def test_certificates_reported_tight():
-    # classic resource-allocation maximum (objective 28 at x = (8, 4, 0));
-    # upper bounds enter as negated >= rows
-    lp = LinearProgram(
-        c=[3.0, 1.0, 2.0],
-        rows=[[-1.0, -1.0, -3.0], [-2.0, -2.0, -5.0], [-4.0, -1.0, -2.0]],
-        senses=(">=", ">=", ">="),
-        rhs=[-30.0, -24.0, -36.0],
-    )
-    sol = solve(lp)
-    assert sol.status == "optimal"
+    sol = solve(ce_program(CHICKEN))
     assert sol.max_primal_violation <= 1e-8
     assert sol.max_dual_violation <= 1e-8
     assert sol.max_cs_violation <= 1e-8
     assert abs(sol.duality_gap) <= 1e-7
-    assert sol.objective_value == pytest.approx(28.0, abs=1e-9)
-    assert sol.x == pytest.approx([8.0, 4.0, 0.0], abs=1e-9)
+    # a deviation row binds, so its dual is nonzero
+    assert (sol.dual[:-1] < 0).any()
 
 
 def test_solution_is_deterministic():
-    rng = np.random.default_rng(7)
-    lp = random_lp(rng, 5, 4)
+    lp = random_game(np.random.default_rng(7), normal=True)
     a = solve(lp)
     b = solve(lp)
-    assert a.status == b.status
-    if a.status == "optimal":
-        assert np.array_equal(a.x, b.x)
-        assert a.objective_value == b.objective_value
-        assert a.iterations == b.iterations
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.dual, b.dual)
+    assert a.objective_value == b.objective_value
+    assert a.iterations == b.iterations
 
 
 def test_scaling_invariance():
-    # Scaling a row by a positive constant must not change the optimum.
-    lp = LinearProgram(
-        c=[1.0, 1.0],
-        rows=[[2.0, 1.0], [1.0, 3.0]],
-        senses=("=", ">="),
-        rhs=[4.0, 3.0],
-    )
-    scaled = LinearProgram(
-        c=[1.0, 1.0],
-        rows=[[20.0, 10.0], [1.0, 3.0]],
-        senses=("=", ">="),
-        rhs=[40.0, 3.0],
-    )
+    # Scaling a deviation row by a positive constant must not change the optimum.
+    lp = ce_program(CHICKEN)
+    rows = lp.rows.copy()
+    rows[0] *= 10.0
+    scaled = LinearProgram(c=lp.c, rows=rows)
     assert solve(lp).objective_value == pytest.approx(
         solve(scaled).objective_value, rel=1e-12)
 
 
 def test_check_feasible_flags_violations():
-    lp = LinearProgram(c=[1.0, 1.0], rows=[[1.0, 1.0]], senses=("=",), rhs=[1.0])
+    lp = LinearProgram(c=[1.0, 1.0], rows=[[1.0, -1.0], [1.0, 1.0]])
     good = check_feasible(lp, [0.5, 0.5])
     assert good.ok and good.max_violation <= 1e-15
-    bad = check_feasible(lp, [0.5, 0.6])
+    bad = check_feasible(lp, [0.4, 0.6])
     assert not bad.ok
-    assert bad.max_violation == pytest.approx(0.1, abs=1e-12)
-    assert "row[0]" in bad.worst_label
+    assert bad.max_violation == pytest.approx(0.2, abs=1e-12)
+    assert "row[0] (>= 0)" in bad.worst_label
+    off = check_feasible(lp, [0.55, 0.6])
+    assert off.max_violation == pytest.approx(0.15, abs=1e-12)
+    assert "row[1] (= 1)" in off.worst_label
     neg = check_feasible(lp, [1.5, -0.5])
     assert not neg.ok and neg.bound_violations[1] == pytest.approx(0.5)
 
 
 def test_validation_errors():
+    with pytest.raises(UsageError):  # the last row is not the normalization
+        LinearProgram(c=[1.0, 1.0], rows=[[1.0, 1.0], [1.0, 0.5]])
     with pytest.raises(UsageError):
-        LinearProgram(c=[1.0], rows=[[1.0]], senses=("<=",), rhs=[1.0])
+        LinearProgram(c=[np.nan], rows=[[1.0]])
     with pytest.raises(UsageError):
-        LinearProgram(c=[np.nan], rows=[[1.0]], senses=("=",), rhs=[1.0])
+        LinearProgram(c=[1.0, 1.0], rows=[[1.0]])
     with pytest.raises(UsageError):
-        LinearProgram(c=[1.0, 1.0], rows=[[1.0]], senses=("=",), rhs=[1.0])
+        LinearProgram(c=[1.0], rows=[1.0])
+    lp = ce_program(CHICKEN)
+    assert lp.senses == (">=",) * 4 + ("=",)
+    assert lp.rhs.tolist() == [0.0] * 4 + [1.0]
 
 
-def test_no_rows_pure_bounds():
-    lp = LinearProgram(c=[-1.0, -2.0], rows=np.zeros((0, 2)), senses=(), rhs=[])
-    sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.objective_value == 0.0
-    assert np.array_equal(sol.x, np.zeros(2))
-
-
-def test_empty_objective_unbounded_direction():
-    lp = LinearProgram(c=[1.0, 0.0], rows=np.zeros((0, 2)), senses=(), rhs=[])
-    assert solve(lp).status == "unbounded"
-
-
-@given(st.integers(0, 2**32 - 1))
+@given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=40)
-def test_property_agreement_with_scipy(seed):
-    rng = np.random.default_rng(seed)
-    lp = random_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+def test_property_agreement_with_scipy(seed, normal):
+    lp = random_game(np.random.default_rng(seed), normal)
     sol = solve(lp)
-    ref = scipy_solve(lp)
-    if ref.status == 0:
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-7)
-        # primal feasibility of our point, independently rechecked
-        assert check_feasible(lp, sol.x, tol=Tolerances(feas_tol=1e-7)).ok
-    elif ref.status == 2:
-        assert sol.status == "infeasible"
-    elif ref.status == 3:
-        assert sol.status == "unbounded"
+    assert sol.objective_value == pytest.approx(highs_optimum(lp), abs=1e-7)
+    # primal feasibility of our point, independently rechecked
+    assert check_feasible(lp, sol.x, tol=Tolerances(feas_tol=1e-7)).ok
 
 
 def test_tight_tolerance_raises_numerical():
-    # This instance solves with ~1e-16 certificate residuals; at 1e-300 the
+    # This game solves with certificate residuals near 1e-16; at 1e-300 the
     # check must surface as NumericalError, never as a silently wrong answer.
-    lp = LinearProgram(
-        c=[1.6698265538950636, -1.1027190506410336, -1.1880027208568964,
-           -0.14881185118017948, 0.008005827404474086, -1.8910385774917335],
-        rows=[[0.24762040003739938, 0.7632612289877618, -0.8749934466908416,
-               -0.41674134796005324, 0.4959037114852116, 0.5549793145214572],
-              [0.5987867920380521, 0.7520734818887398, 0.16234053078090982,
-               -0.3713201981845897, -0.7330994341157218, -0.3358863019913434],
-              [0.12300880781669887, -0.772853605874869, -0.35491296741192846,
-               0.03155172854805288, -0.5995622979277722, -0.8248058662462863],
-              [-0.7711284213290812, 0.26025174190037026, -0.6471952489327697,
-               -0.2921114469966346, 0.058989521945765455, -0.3714973546504956],
-              [-0.6427085989978027, 0.2991896474488376, 0.28742385116620905,
-               -0.23665064201126018, 0.892510009177226, -0.9757651549674073]],
-        senses=(">=", ">=", ">=", ">=", "="),
-        rhs=[0.49579041843108507, 0.9026746632711635, -0.54458923338865,
-             -0.5658093820042933, -0.15347545395289308],
-    )
-    assert solve(lp).status == "optimal"
+    lp = ce_program(np.random.default_rng(3).normal(size=(8, 3)))
+    solve(lp)
     with pytest.raises(NumericalError):
         solve(lp, tol=Tolerances(feas_tol=1e-300, cs_tol=1e-300, gap_tol=1e-300))
+
+
+def test_impossible_ends_raise_numerical(monkeypatch):
+    # No game has this program (-x0 - x1 >= 0 on the simplex), so phase 1
+    # ends with a positive artificial.
+    with pytest.raises(NumericalError, match="artificial"):
+        solve(LinearProgram(c=[1.0, 0.0], rows=[[-1.0, -1.0], [1.0, 1.0]]))
+    # A ratio test with no leaving row would be an unbounded ray.
+    monkeypatch.setattr(lp_core, "_choose_leaving", lambda st, alpha: -1)
+    with pytest.raises(NumericalError, match="no leaving row"):
+        solve(ce_program(CHICKEN))
