@@ -10,7 +10,8 @@ enters only afterwards: a joint decision is sampled independently per
 subset and its profit is re-evaluated under the full coupled game.  The
 reported profit is therefore a sample statistic, not an optimum, and single
 draws can land far below the direct objective; only seed-averaged means are
-comparable.
+comparable.  With xi=1 the one subset is the whole game: that is the
+direct solve, and `harness.solve_round` runs both modes through here.
 
 Timing is measured with the subset solves serialized, so the per-subset
 wall-clocks sum to the total.
@@ -87,6 +88,8 @@ def solve_decomposed(devices: Sequence[gm.DeviceProfile],
     """
     params = params or gm.GameParams()
     gm.validate_devices(devices)
+    if not devices:
+        raise UsageError("need at least one device")
     spec = partition(devices, xi)
 
     solutions, seconds = [], []

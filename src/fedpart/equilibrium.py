@@ -90,21 +90,16 @@ class CeCheck:
     worst_to: int | None = None
 
 
-def _deviation_gains(profits: np.ndarray, i: int) -> np.ndarray:
-    """Per-outcome V_i(p) - V_i(p with device i's bit flipped)."""
-    v = gm.flip_pairs(profits[:, i], i)
-    return (v - v[:, ::-1, :]).reshape(-1)
-
-
 def _check_ce(probabilities: np.ndarray, profits: np.ndarray,
               tol: float = CE_TOL) -> CeCheck:
-    """Worst conditional deviation constraint of a distribution, given profits."""
+    """Worst conditional deviation constraint of a distribution, given the
+    profit tensor (a device's profit is +0.0 wherever it sits out)."""
     worst = (0.0, None, None, None)
     for i in range(profits.shape[1]):
-        gains = gm.flip_pairs(_deviation_gains(profits, i), i)
+        joined = gm.flip_pairs(profits[:, i], i)[:, 1, :]
         prob = gm.flip_pairs(probabilities, i)
-        for q in (0, 1):
-            value = float(np.sum((prob[:, q, :] * gains[:, q, :]).reshape(-1)))
+        for q, gains in ((0, np.subtract(0.0, joined)), (1, joined)):
+            value = float(np.sum((prob[:, q, :] * gains).reshape(-1)))
             if value < worst[0]:
                 worst = (value, i, q, 1 - q)
     violation = -worst[0]
@@ -153,12 +148,15 @@ def build_gpm(devices: Sequence[gm.DeviceProfile],
         raise UsageError("need at least one device")
     profits = gm.profit_tensor(devices, params, cap=enumeration_cap)
     num = 2 ** n
-    # row 2i+q is device i's deviation gain on the outcomes where p_i = q
+    # Row 2i+q is device i's gain V_i(p) - V_i(flip_i(p)) where p_i = q.  V_i
+    # is +0.0 wherever device i sits out, so row 2i+1 is its joining profit J
+    # and row 2i is 0.0 - J at the flipped outcome (np.subtract, not unary
+    # minus, so that a zero J gives +0.0).
     rows = np.zeros((2 * n + 1, num))
     for i in range(n):
-        gains = gm.flip_pairs(_deviation_gains(profits, i), i)
-        for q in (0, 1):
-            gm.flip_pairs(rows[2 * i + q], i)[:, q, :] = gains[:, q, :]
+        joined = gm.flip_pairs(profits[:, i], i)[:, 1, :]
+        gm.flip_pairs(rows[2 * i + 1], i)[:, 1, :] = joined
+        np.subtract(0.0, joined, out=gm.flip_pairs(rows[2 * i], i)[:, 0, :])
     rows[-1] = 1.0
     return GpmProgram(lp=LinearProgram(c=profits.sum(axis=1), rows=rows), num_devices=n,
                       raw_constraint_count=num + 4 * n + 1, profits=profits)
@@ -169,7 +167,6 @@ class GpmSolution:
     distribution: CorrelatedDistribution
     total_profit: float
     lp_solution: LpSolution
-    program: GpmProgram
 
 
 def solve_gpm(devices: Sequence[gm.DeviceProfile],
@@ -191,4 +188,4 @@ def solve_gpm(devices: Sequence[gm.DeviceProfile],
             f"solver output violates a deviation constraint by {check.worst_violation:.3e} "
             f"(device {check.worst_device}, {check.worst_from}->{check.worst_to})")
     return GpmSolution(distribution=dist, total_profit=sol.objective_value,
-                       lp_solution=sol, program=program)
+                       lp_solution=sol)

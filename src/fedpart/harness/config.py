@@ -122,15 +122,18 @@ def _reject_unknown(section: Mapping[str, Any], allowed: Sequence[str], ctx: str
                          f"(allowed: {', '.join(sorted(allowed))})")
 
 
+def _field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
 def _dataclass_from(section: Mapping[str, Any], cls, ctx: str):
-    names = [f.name for f in fields(cls)]
-    _reject_unknown(section, names, ctx)
+    _reject_unknown(section, _field_names(cls), ctx)
     return cls(**section)
 
 
 def _parse_devices(node: Any):
     if isinstance(node, Mapping):
-        _reject_unknown(node, ["count", "size_choices", "probabilities", "seed"], "devices")
+        _reject_unknown(node, _field_names(DeviceGenSpec), "devices")
         kwargs = dict(node)
         if "size_choices" in kwargs:
             kwargs["size_choices"] = tuple(float(x) for x in kwargs["size_choices"])
@@ -142,8 +145,7 @@ def _parse_devices(node: Any):
         for k, entry in enumerate(node):
             if not isinstance(entry, Mapping):
                 raise UsageError(f"devices[{k}] must be an object")
-            _reject_unknown(entry, ["id", "data_size", "beta", "gamma", "channel_cost"],
-                            f"devices[{k}]")
+            _reject_unknown(entry, _field_names(DeviceProfile), f"devices[{k}]")
             if "data_size" not in entry:
                 raise UsageError(f"devices[{k}] is missing data_size")
             out.append(DeviceProfile(id=int(entry.get("id", k)), **{
@@ -194,7 +196,7 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     if "solver" in doc:
         kwargs["solver"] = _parse_solver(doc["solver"])
     if "output" in doc:
-        _reject_unknown(doc["output"], ["path", "seed"], "output")
+        _reject_unknown(doc["output"], _field_names(OutputConfig), "output")
         kwargs["output"] = OutputConfig(path=doc["output"].get("path"),
                                         seed=int(doc["output"].get("seed", 0)))
     return ExperimentConfig(**kwargs)
@@ -216,35 +218,22 @@ def effective_config_json(cfg: ExperimentConfig, seed: int) -> str:
 
     Emitted into each CSV row so any result line is self-describing; key
     order and separators are fixed so equal configs encode identically.
+    The document follows the config schema and reads each section off its
+    dataclass, with three rules of its own: the tolerances sit flat in
+    "solver", "mech.device" is always a list, and the run "seed" takes the
+    place of "output".
     """
-    if isinstance(cfg.devices, DeviceGenSpec):
-        devices: Any = {"count": cfg.devices.count,
-                        "size_choices": list(cfg.devices.size_choices),
-                        "probabilities": (list(cfg.devices.probabilities)
-                                          if cfg.devices.probabilities else None),
-                        "seed": cfg.devices.seed}
-    else:
-        devices = [{"id": d.id, "data_size": d.data_size, "beta": d.beta,
-                    "gamma": d.gamma, "channel_cost": d.channel_cost}
-                   for d in cfg.devices]
+    devices = (vars(cfg.devices) if isinstance(cfg.devices, DeviceGenSpec)
+               else [vars(d) for d in cfg.devices])
     mechs = (cfg.device_mech,) if isinstance(cfg.device_mech, DeviceMechParams) \
-        else tuple(cfg.device_mech)
+        else cfg.device_mech
+    solver = dict(vars(cfg.solver))
+    solver.update(vars(solver.pop("tolerances")))
     doc = {
         "devices": devices,
-        "game": {"alpha": cfg.game.alpha, "err_a": cfg.game.err_a,
-                 "err_b": cfg.game.err_b, "delta": cfg.game.delta},
-        "mech": {
-            "server": {"a_e": cfg.server.a_e, "b_e": cfg.server.b_e,
-                       "sigma": cfg.server.sigma, "rho": cfg.server.rho,
-                       "s0": cfg.server.s0, "r0": cfg.server.r0,
-                       "horizon": cfg.server.horizon},
-            "device": [{"theta": m.theta, "a_d": m.a_d, "b_d": m.b_d} for m in mechs],
-        },
-        "solver": {"mode": cfg.solver.mode, "xi": cfg.solver.xi,
-                   "feas_tol": cfg.solver.tolerances.feas_tol,
-                   "cs_tol": cfg.solver.tolerances.cs_tol,
-                   "gap_tol": cfg.solver.tolerances.gap_tol,
-                   "enumeration_cap": cfg.solver.enumeration_cap},
+        "game": vars(cfg.game),
+        "mech": {"server": vars(cfg.server), "device": [vars(m) for m in mechs]},
+        "solver": solver,
         "seed": seed,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

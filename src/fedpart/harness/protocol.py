@@ -5,7 +5,7 @@
        size (the rest keep silent and take no further part);
     3. the server infers each reporter's private type from the report,
        assembles the participation game over the reported sizes, and solves
-       it with `solve_round` (directly or by subset decomposition);
+       it with `solve_round` (exactly, or by subset decomposition);
     4. each reporting device receives its component of one joint decision
        drawn from the solved distribution;
     5. the devices confirm the decision back to the server.
@@ -23,7 +23,7 @@ from typing import Any, Sequence
 
 from .. import game_model as gm
 from ..decomposition import solve_decomposed
-from ..equilibrium import marginals, sample_decision, solve_gpm, threshold_decision
+from ..equilibrium import marginals, threshold_decision
 from ..mechanism import accepts, best_response, infer_theta, optimal_rule
 from .config import ExperimentConfig
 
@@ -48,30 +48,22 @@ def solve_round(devices: Sequence[gm.DeviceProfile], cfg: ExperimentConfig,
 
     The game is split into ``min(xi, n)`` subsets when the mode is
     "decomposed" and there are at least two devices; otherwise it is solved
-    directly.
+    directly, which is the decomposition into one subset.
     """
     n = len(devices)
-    if cfg.solver.mode == "decomposed" and n > 1:
-        xi = min(cfg.solver.xi, n)
-        dec = solve_decomposed(devices, cfg.game, xi=xi, seed=seed,
-                               tol=cfg.solver.tolerances,
-                               enumeration_cap=cfg.solver.enumeration_cap)
-        dists = [sub.distribution for sub in dec.subset_solutions]
-        return RoundSolution(
-            mode="decomposed", xi=xi, objective=sum(dec.subset_objectives),
-            marginals=tuple(float(m) for d in dists for m in marginals(d)),
-            sampled=dec.decision,
-            threshold=tuple(b for d in dists for b in threshold_decision(d)),
-            profit=dec.reported_profit, subset_objectives=dec.subset_objectives)
-    sol = solve_gpm(devices, cfg.game, tol=cfg.solver.tolerances,
-                    enumeration_cap=cfg.solver.enumeration_cap)
-    sampled = sample_decision(sol.distribution, seed)
+    decomposed = cfg.solver.mode == "decomposed" and n > 1
+    xi = min(cfg.solver.xi, n) if decomposed else 1
+    dec = solve_decomposed(devices, cfg.game, xi=xi, seed=seed,
+                           tol=cfg.solver.tolerances,
+                           enumeration_cap=cfg.solver.enumeration_cap)
+    dists = [sub.distribution for sub in dec.subset_solutions]
     return RoundSolution(
-        mode="direct", xi=1, objective=sol.total_profit,
-        marginals=tuple(float(m) for m in marginals(sol.distribution)),
-        sampled=sampled, threshold=threshold_decision(sol.distribution),
-        profit=gm.total_profit(sampled, devices, cfg.game),
-        subset_objectives=(sol.total_profit,))
+        mode="decomposed" if decomposed else "direct", xi=xi,
+        objective=sum(dec.subset_objectives),
+        marginals=tuple(float(m) for d in dists for m in marginals(d)),
+        sampled=dec.decision,
+        threshold=tuple(b for d in dists for b in threshold_decision(d)),
+        profit=dec.reported_profit, subset_objectives=dec.subset_objectives)
 
 
 @dataclass(frozen=True)

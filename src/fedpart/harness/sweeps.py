@@ -92,6 +92,7 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> tuple[ExperimentConf
     raise AssertionError("unreachable")
 
 
+# the columns between "rep" and "config_json" are `_evaluate_point`'s keys
 SWEEP_HEADER = [
     "axis", "value", "rep", "seed", "n", "mode", "xi",
     "s_star", "r_star", "u_device", "u_server", "accepted",
@@ -127,12 +128,10 @@ def _mean_point(points: list[dict[str, Any]]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for key in points[0]:
         vals = [p[key] for p in points]
-        if key in ("mode",):
+        if key in ("seed", "n", "mode", "xi"):
             out[key] = vals[0]
         elif key in ("marginals", "decision_sampled", "decision_threshold"):
             out[key] = tuple(np.mean(np.array(vals, dtype=float), axis=0))
-        elif key in ("seed", "n", "xi"):
-            out[key] = vals[0]
         else:
             out[key] = float(np.mean(vals))
     return out
@@ -166,11 +165,7 @@ def sweep(cfg: ExperimentConfig, axis: str,
 
 def _sweep_row(axis: str, value, rep: str, point: dict[str, Any],
                config_json: str) -> list[Any]:
-    return [axis, value, rep, point["seed"], point["n"], point["mode"], point["xi"],
-            point["s_star"], point["r_star"], point["u_device"], point["u_server"],
-            point["accepted"], point["gpm_objective"], point["marginals"],
-            point["decision_sampled"], point["decision_threshold"],
-            point["profit_sampled"], point["wall_clock_s"], config_json]
+    return [axis, value, rep, *(point[k] for k in SWEEP_HEADER[3:-1]), config_json]
 
 
 COMPARE_HEADER = [

@@ -10,10 +10,11 @@ The device's malice level theta is private.  The rule shipped here is the
 one derived for a *known* theta; `infer_theta` inverts the best response so
 the server can recover theta from the report itself and evaluate the rule
 consistently.  Truth-telling is checked in the fixed-rule frame (the rule
-instantiated at the true theta, deviations move only the report); the
-``rule_theta="inferred"`` mode re-prices the rule at the theta implied by
-each deviating report and is a diagnostic only — no truthfulness claim is
-made there, and under-reporting can look profitable in that frame.
+instantiated at the true theta, deviations move only the report).  No
+truthfulness claim is made for a server that re-fits the rule to the theta
+each report implies: there lying pays.  Under the default parameters at
+theta 0.5 the truthful report earns 25503.5, while the report derived from
+theta 0.05, priced by the rule re-fitted to it, earns 255005.75.
 """
 
 from __future__ import annotations
@@ -238,18 +239,14 @@ class IcReport:
 
 
 def ic_check(theta_true: float, srv: ServerMechParams, dev: DeviceMechParams,
-             grid_step: float = 0.05, rule_theta: str = "true") -> IcReport:
+             grid_step: float = 0.05) -> IcReport:
     """Can the device gain by deriving its report from a false theta?
 
     Every grid theta is mapped through the best response to a candidate
-    report; utilities are always evaluated at the device's true type.  In
-    the ``"true"`` frame (the one with a truthfulness guarantee) the rule
-    stays fixed at theta_true, so deviations just move along a concave
-    objective away from its argmax.  ``"inferred"`` re-prices the rule at
-    the theta each report implies — diagnostic only.
+    report; utilities are always evaluated at the device's true type.  The
+    rule stays fixed at theta_true, so deviations just move along a concave
+    objective away from its argmax.
     """
-    if rule_theta not in ("true", "inferred"):
-        raise UsageError("rule_theta must be 'true' or 'inferred'")
     if not 0.0 < theta_true <= 1.0:
         raise UsageError(f"theta_true must be in (0, 1], got {theta_true}")
     if grid_step <= 0 or round(1.0 / grid_step) < 10:
@@ -258,25 +255,20 @@ def ic_check(theta_true: float, srv: ServerMechParams, dev: DeviceMechParams,
     steps = int(round(1.0 / grid_step))
     grid = sorted({round(k * grid_step, 12) for k in range(1, steps + 1)} | {theta_true})
     dev_true = DeviceMechParams(theta=theta_true, a_d=dev.a_d, b_d=dev.b_d)
-    fixed_rule = optimal_rule(theta_true, srv)
+    rule = optimal_rule(theta_true, srv)
 
     utilities = []
     for cand in grid:
         s_cand = best_response(cand, srv, dev)
-        rule = fixed_rule if rule_theta == "true" else optimal_rule(
-            infer_theta(s_cand, srv, dev.a_d), srv)
         utilities.append(device_utility(rule(s_cand), max(s_cand, 0.0),
                                         dev_true, srv.horizon))
 
     truthful = utilities[grid.index(theta_true)]
-    off = [(u, t) for u, t in zip(utilities, grid) if t != theta_true]
-    if off:
-        worst_utility, worst_theta = max(off)
-        margin = truthful - worst_utility
-    else:  # single-point grid: vacuously truthful
-        worst_utility, worst_theta = truthful, theta_true
-        margin = 0.0
-    ok = max(u for u in utilities) <= truthful + 1e-9 * max(1.0, abs(truthful))
+    # the grid has at least 10 points, so some theta is off the truth
+    worst_utility, worst_theta = max((u, t) for u, t in zip(utilities, grid)
+                                     if t != theta_true)
+    ok = max(utilities) <= truthful + 1e-9 * max(1.0, abs(truthful))
     return IcReport(ok=ok, theta_true=theta_true, truthful_utility=truthful,
                     worst_theta=worst_theta, worst_utility=worst_utility,
-                    margin=margin, grid=tuple(grid), utilities=tuple(utilities))
+                    margin=truthful - worst_utility, grid=tuple(grid),
+                    utilities=tuple(utilities))

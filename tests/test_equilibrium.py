@@ -10,7 +10,6 @@ from fedpart import game_model as gm
 from fedpart.equilibrium import (
     CeCheck,
     CorrelatedDistribution,
-    _deviation_gains,
     build_gpm,
     marginals,
     sample_decision,
@@ -110,15 +109,22 @@ def _masked_verify_ce(dist, devices, params, tol=1e-7):
 
 
 def test_deviation_gains_view_matches_xor_gather():
+    # Row 2i+q of the LP holds V_i(p) - V_i(p ^ bit i) where p_i = q and +0.0
+    # elsewhere, to the bit: bytes are compared, so a zero keeps its sign.
+    # A size-0 device with no channel cost has zero profit where it joins.
     rng = np.random.default_rng(7)
     for n in range(1, 9):
-        game_profits = gm.profit_tensor(devices_of(*rng.choice([50, 100, 500, 900], n)),
-                                        gm.GameParams())
-        for profits in (game_profits, rng.normal(size=(2**n, n))):
-            flipped = np.arange(2**n)
-            for i in range(n):
-                expected = profits[:, i] - profits[flipped ^ (1 << i), i]
-                assert np.array_equal(_deviation_gains(profits, i), expected), (n, i)
+        devices = [gm.DeviceProfile(id=i, data_size=float(s), channel_cost=float(c))
+                   for i, (s, c) in enumerate(zip(rng.choice([0, 50, 100, 500, 900], n),
+                                                  rng.choice([0.0, 3.5e5], n)))]
+        profits = gm.profit_tensor(devices, gm.GameParams())
+        rows = build_gpm(devices).lp.rows
+        outcomes = np.arange(2**n)
+        for i in range(n):
+            gains = profits[:, i] - profits[outcomes ^ (1 << i), i]
+            for q in (0, 1):
+                expected = np.where((outcomes >> i) & 1 == q, gains, 0.0)
+                assert rows[2 * i + q].tobytes() == expected.tobytes(), (n, i, q)
 
 
 def test_verify_ce_matches_masked_formula():

@@ -147,3 +147,23 @@ def test_plateau_games_solve(sizes, objective, max_pivots):
     sol = solve_gpm(devices_of(sizes))
     assert sol.total_profit == pytest.approx(objective, abs=1e-9)
     assert sol.lp_solution.iterations <= max_pivots
+
+
+# The one game among 353 probes on which the solve falls back to Bland's
+# rule; no other Tier-1 solve reaches it.  It measured 112 pivots, 42 of
+# them Bland, to 3.641721307324937; HiGHS gives 3.6417213073249366.
+def test_bland_fallback_game(monkeypatch):
+    bland_calls = []
+    real = lp_core._choose_entering
+
+    def spy(d, bland):
+        bland_calls.append(bland)
+        return real(d, bland)
+
+    monkeypatch.setattr(lp_core, "_choose_entering", spy)
+    devices = devices_of(splitmix_sizes(20, 14))
+    sol = solve_gpm(devices)
+    assert any(bland_calls)
+    assert sol.total_profit == pytest.approx(highs_optimum(build_gpm(devices).lp), abs=1e-9)
+    assert verify_ce(sol.distribution, devices, gm.GameParams()).ok
+    assert sol.lp_solution.iterations <= 130

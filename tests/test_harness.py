@@ -8,16 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedpart import game_model as gm
+from fedpart.equilibrium import marginals, sample_decision, solve_gpm, threshold_decision
 from fedpart.errors import UsageError
 from fedpart.harness.config import (
+    ExperimentConfig,
     effective_config_json,
     load_config,
     parse_config,
 )
 from fedpart.harness.cli import main as cli_main
-from fedpart.harness.protocol import run_protocol, solve_round
+from fedpart.harness.protocol import RoundSolution, run_protocol, solve_round
 from fedpart.harness.sweeps import (
     SWEEP_HEADER,
     compare_solvers,
@@ -120,6 +123,26 @@ def test_effective_config_json_is_canonical():
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == a
     # every section is echoed for auditability
     assert set(doc) == {"devices", "game", "mech", "seed", "solver"}
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("cfg", [load_config(p) for p in CONFIGS] + [ExperimentConfig()],
+                         ids=[p.stem for p in CONFIGS] + ["default"])
+def test_effective_config_json_describes_its_config(cfg):
+    doc = json.loads(effective_config_json(cfg, seed=7))
+    doc["output"] = {"seed": doc.pop("seed")}
+    again = parse_config(doc)
+    assert again.output.seed == 7
+    assert (again.devices, again.game, again.server, again.solver) == \
+        (cfg.devices, cfg.game, cfg.server, cfg.solver)
+    # "mech.device" is always a list; a spec shared by every device echoes as
+    # its one entry
+    shared = not isinstance(cfg.device_mech, tuple)
+    assert len(again.device_mech) == (1 if shared else len(cfg.device_mech))
+    for k in range(len(cfg.realize_devices(7))):
+        assert again.mech_for(0 if shared else k) == cfg.mech_for(k)
 
 
 # -------------------------------------------------------------- protocol ---
@@ -242,6 +265,35 @@ def test_xi_1_is_the_direct_solve_bit_for_bit():
             (a.objective, a.decision, a.total_profit)
         assert (b.marginals, b.threshold) == (a.marginals, a.threshold)
         assert _step3(b).payload["xi"] == 1
+
+
+def _direct_round(devices, cfg, seed):
+    """The direct solve as a branch of its own: solve, sample, re-price."""
+    sol = solve_gpm(devices, cfg.game, tol=cfg.solver.tolerances,
+                    enumeration_cap=cfg.solver.enumeration_cap)
+    sampled = sample_decision(sol.distribution, seed)
+    return RoundSolution(
+        mode="direct", xi=1, objective=sol.total_profit,
+        marginals=tuple(float(m) for m in marginals(sol.distribution)),
+        sampled=sampled, threshold=threshold_decision(sol.distribution),
+        profit=gm.total_profit(sampled, devices, cfg.game),
+        subset_objectives=(sol.total_profit,))
+
+
+@given(sizes=st.lists(st.one_of(st.sampled_from([0.0, 50.0, 500.0]),
+                                st.floats(0, 1000).map(lambda v: round(v, 3))),
+                      min_size=1, max_size=8),
+       seed=st.integers(0, 2**64 + 3))
+@settings(max_examples=60, deadline=None)
+def test_direct_round_is_the_one_subset_decomposition(sizes, seed):
+    devices = [gm.DeviceProfile(id=i, data_size=s) for i, s in enumerate(sizes)]
+    cfg = parse_config({})
+    assert solve_round(devices, cfg, seed) == _direct_round(devices, cfg, seed)
+
+
+def test_round_without_devices_is_refused():
+    with pytest.raises(UsageError, match="need at least one device"):
+        solve_round([], parse_config({}), 0)
 
 
 @pytest.mark.parametrize("cap, code", [(4, 3), (5, 0)])

@@ -140,14 +140,6 @@ def test_ic_margin_positive_across_theta_grid():
         assert report.margin >= 1e-6
 
 
-def test_ic_inferred_frame_is_diagnostic():
-    # When the server re-fits the rule to the under-report, lying pays; the
-    # check exists to document that this framing is NOT incentive compatible.
-    report = ic_check(0.5, ServerMechParams(), DeviceMechParams(), rule_theta="inferred")
-    assert not report.ok
-    assert report.worst_theta < 0.5
-
-
 def test_device_utility_validation():
     with pytest.raises(UsageError):
         device_utility(10.0, -1.0, DeviceMechParams())
