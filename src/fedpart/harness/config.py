@@ -17,7 +17,8 @@ Schema (all keys optional):
       "mech":    {"server": {"a_e": 1.0, "b_e": 1.0, "sigma": 1e5, "rho": 10.0,
                              "s0": 500.0, "r0": 50.0, "horizon": 1.0},
                   "device": {"theta": 0.5, "a_d": 1.0, "b_d": 1.0}
-                            -- or a list, one entry per device --},
+                            -- or a list, one entry per device; a list of
+                               one entry is shared by every device --},
       "solver":  {"mode": "direct" | "decomposed", "xi": 2,
                   "feas_tol": 1e-8, "cs_tol": 1e-8, "gap_tol": 1e-7,
                   "enumeration_cap": 20},
@@ -105,9 +106,15 @@ class ExperimentConfig:
         return list(self.devices)
 
     def mech_for(self, position: int) -> DeviceMechParams:
-        """Mechanism parameters of the device at a list position."""
+        """Mechanism parameters of the device at a list position.
+
+        A list of one entry is shared by every device, as a single spec is:
+        that is how the config echo writes a shared spec.
+        """
         if isinstance(self.device_mech, DeviceMechParams):
             return self.device_mech
+        if len(self.device_mech) == 1:
+            return self.device_mech[0]
         if position >= len(self.device_mech):
             raise UsageError(
                 f"mech.device list has {len(self.device_mech)} entries; "
@@ -168,17 +175,24 @@ def _parse_mech(node: Mapping[str, Any]):
     return server, device
 
 
+def _given_fields(node: Mapping[str, Any], cls) -> dict[str, Any]:
+    """The keys of ``node`` that name fields of ``cls``, each number cast to
+    the type of its field's default; absent keys keep the defaults."""
+    out = {}
+    for f in fields(cls):
+        if f.name in node:
+            value = node[f.name]
+            out[f.name] = type(f.default)(value) if isinstance(f.default, (int, float)) \
+                else value
+    return out
+
+
 def _parse_solver(node: Mapping[str, Any]) -> SolverConfig:
-    allowed = ["mode", "xi", "feas_tol", "cs_tol", "gap_tol", "enumeration_cap"]
-    _reject_unknown(node, allowed, "solver")
-    tol = Tolerances(feas_tol=float(node.get("feas_tol", 1e-8)),
-                     cs_tol=float(node.get("cs_tol", 1e-8)),
-                     gap_tol=float(node.get("gap_tol", 1e-7)))
-    return SolverConfig(mode=node.get("mode", "direct"),
-                        xi=int(node.get("xi", 2)),
-                        tolerances=tol,
-                        enumeration_cap=int(node.get("enumeration_cap",
-                                                     DEFAULT_ENUMERATION_CAP)))
+    """The tolerances sit flat in "solver", beside the solver's own fields."""
+    _reject_unknown(node, [name for name in _field_names(SolverConfig) if name != "tolerances"]
+                    + _field_names(Tolerances), "solver")
+    return SolverConfig(**_given_fields(node, SolverConfig),
+                        tolerances=Tolerances(**_given_fields(node, Tolerances)))
 
 
 def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:

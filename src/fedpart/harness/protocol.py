@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .. import game_model as gm
-from ..decomposition import solve_decomposed
+from ..decomposition import SolvedGames, solve_decomposed
 from ..equilibrium import marginals, threshold_decision
 from ..mechanism import accepts, best_response, infer_theta, optimal_rule
 from .config import ExperimentConfig
@@ -43,19 +43,20 @@ class RoundSolution:
 
 
 def solve_round(devices: Sequence[gm.DeviceProfile], cfg: ExperimentConfig,
-                seed: int) -> RoundSolution:
+                seed: int, solved: SolvedGames | None = None) -> RoundSolution:
     """Solve the game over ``devices`` as ``cfg.solver`` says.
 
     The game is split into ``min(xi, n)`` subsets when the mode is
     "decomposed" and there are at least two devices; otherwise it is solved
-    directly, which is the decomposition into one subset.
+    directly, which is the decomposition into one subset.  The games are
+    solved through ``solved``, if given (see `solve_decomposed`).
     """
     n = len(devices)
     decomposed = cfg.solver.mode == "decomposed" and n > 1
     xi = min(cfg.solver.xi, n) if decomposed else 1
     dec = solve_decomposed(devices, cfg.game, xi=xi, seed=seed,
                            tol=cfg.solver.tolerances,
-                           enumeration_cap=cfg.solver.enumeration_cap)
+                           enumeration_cap=cfg.solver.enumeration_cap, solved=solved)
     dists = [sub.distribution for sub in dec.subset_solutions]
     return RoundSolution(
         mode="decomposed" if decomposed else "direct", xi=xi,

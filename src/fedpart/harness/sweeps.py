@@ -12,6 +12,12 @@ Stochastic configs (generated device sizes, or decomposed-sampling mode)
 are repeated over 30 derived seeds and a trailing mean row is appended;
 deterministic configs produce a single row per value.
 
+Each `sweep` or `compare_solvers` call solves every distinct game once
+(see `decomposition.SolvedGames`): a repetition that draws a game already
+solved in the same call reuses that certified solution, and still samples
+with its own seed.  The timing columns then report, per repetition, the
+seconds measured when its games were solved, never a lookup.
+
 CSV cells use 9 significant digits and '\n' line endings, so byte-identical
 reruns are a hard guarantee.  Wall-clock columns would break it, so they
 are dropped unless explicitly requested.
@@ -28,8 +34,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .. import game_model as gm
-from ..decomposition import solve_decomposed
-from ..equilibrium import solve_gpm
+from ..decomposition import SolvedGames, solve_decomposed
 from ..errors import UsageError
 from ..mechanism import DeviceMechParams, closed_form_point
 from ..rng import subset_seed
@@ -102,7 +107,7 @@ SWEEP_HEADER = [
 
 
 def _evaluate_point(cfg: ExperimentConfig, s1_override: float | None,
-                    seed: int) -> dict[str, Any]:
+                    seed: int, solved: SolvedGames) -> dict[str, Any]:
     devices = cfg.realize_devices(seed)
     if s1_override is not None:
         if not devices:
@@ -112,7 +117,7 @@ def _evaluate_point(cfg: ExperimentConfig, s1_override: float | None,
     mech0 = cfg.mech_for(0)
     s_star, r_star, u_dev, u_srv, accepted = closed_form_point(mech0.theta, cfg.server, mech0)
     t0 = time.perf_counter()
-    r = solve_round(devices, cfg, seed)
+    r = solve_round(devices, cfg, seed, solved)
     wall = time.perf_counter() - t0
     return {
         "seed": seed, "n": len(devices), "mode": r.mode, "xi": r.xi,
@@ -146,6 +151,7 @@ def sweep(cfg: ExperimentConfig, axis: str,
     if not values:
         raise UsageError("sweep needs at least one axis value")
     base_seed = cfg.output.seed
+    solved = SolvedGames()
     rows: list[list[Any]] = []
     for value in values:
         cfg_v, s1_override = _apply_axis(cfg, axis, value)
@@ -153,7 +159,7 @@ def sweep(cfg: ExperimentConfig, axis: str,
             STOCHASTIC_REPS if cfg_v.is_stochastic else 1)
         points = []
         for rep in range(n_reps):
-            point = _evaluate_point(cfg_v, s1_override, subset_seed(base_seed, rep))
+            point = _evaluate_point(cfg_v, s1_override, subset_seed(base_seed, rep), solved)
             points.append(point)
             rows.append(_sweep_row(axis, value, str(rep), point,
                                    effective_config_json(cfg_v, subset_seed(base_seed, rep))))
@@ -180,11 +186,15 @@ def compare_solvers(cfg: ExperimentConfig, n_list: Sequence[int], xi: int = 2,
 
     Sizes are drawn equiprobably from 50 and 500; the decomposed
     solver re-prices its sampled decision under the full game, so its
-    profit column is a sample mean, not an optimum.
+    profit column is a sample mean, not an optimum.  Both sides solve
+    through one memo, so each timing column averages one measured solve
+    time per rep.
     """
     if xi < 1:
         raise UsageError("xi must be >= 1")
     base_seed = cfg.output.seed
+    solved = SolvedGames()
+    tol, cap = cfg.solver.tolerances, cfg.solver.enumeration_cap
     rows: list[list[Any]] = []
     for n in n_list:
         if n < 1:
@@ -196,14 +206,10 @@ def compare_solvers(cfg: ExperimentConfig, n_list: Sequence[int], xi: int = 2,
         for rep in range(reps):
             dev_seed = subset_seed(base_seed, (n << 20) | rep)
             devices = gm.random_devices(n, seed=dev_seed)
-            t0 = time.perf_counter()
-            sol = solve_gpm(devices, cfg.game, tol=cfg.solver.tolerances,
-                            enumeration_cap=cfg.solver.enumeration_cap)
-            direct_s[rep] = time.perf_counter() - t0
+            sol, direct_s[rep] = solved.solve(devices, cfg.game, tol, cap)
             direct_profit[rep] = sol.total_profit
             dec = solve_decomposed(devices, cfg.game, xi=min(xi, n), seed=dev_seed,
-                                   tol=cfg.solver.tolerances,
-                                   enumeration_cap=cfg.solver.enumeration_cap)
+                                   tol=tol, enumeration_cap=cap, solved=solved)
             improved_s[rep] = dec.timing.total_seconds
             improved_profit[rep] = dec.reported_profit
         rows.append([n, xi, reps,

@@ -23,12 +23,12 @@ and the basic values β = B⁻¹b, and works from the stored ``rows``:
 So a pivot reads ``rows`` once instead of rewriting an m x columns array,
 which suits the participation-game programs: m = 2n+1 rows and 2^n columns.
 
-Phase 1 first enters the feasible point mass with the largest objective,
-if there is one: a column that is nonnegative in every deviation row.  In a
-game that point mass is the best pure Nash equilibrium.  Every deviation
-row has rhs 0, so phase 1 otherwise starts on a degenerate plateau;
-entering a feasible point mass is one nondegenerate pivot that ends
-phase 1.  With none, phase 1 runs from the identity basis.
+Phase 1 is one known pivot when some point mass is feasible: a column that
+is nonnegative in every deviation row, in a game a pure Nash equilibrium.
+The one with the largest objective enters in the normalization row, which
+ends phase 1 with no pricing pass.  Every deviation row has rhs 0, so
+phase 1 otherwise starts on a degenerate plateau; with no feasible point
+mass it runs from the identity basis.
 
 The entering rule is Dantzig's (largest reduced cost, lowest index on ties).
 Immediately after any degenerate pivot it switches to a rescue scan that
@@ -307,15 +307,13 @@ def _choose_leaving(st: _Basis, alpha: np.ndarray) -> int:
     return int(cand[np.argmin(st.basis[cand])]) if cand.size > 1 else int(cand[0])
 
 
-def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int], first: int = -1) -> None:
+def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int]) -> None:
     """Pivot until no column prices in."""
     stall = 0
     stall_limit = max(50, 2 * len(st.basis))
     while True:
         d = st.price(cost)
-        if first >= 0 and d[first] > _RC_TOL:
-            j = first
-        elif stall:
+        if stall:
             # The last pivot was degenerate, so we are on a plateau.  Look
             # for a pivot with a strictly positive ratio anywhere — it leaves
             # the plateau in one step.  This must happen immediately: a few
@@ -329,7 +327,6 @@ def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int], first: int = -
                 j = _choose_entering(d, bland=stall >= stall_limit)
         else:
             j = _choose_entering(d, bland=False)
-        first = -1
         if j < 0:
             return
         alpha = st.column(j)
@@ -356,9 +353,17 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
     basis, art = st.basis, st.n_real
 
     # --- phase 1: drive the normalization row's artificial to zero ----------
-    cost1 = np.zeros(art + 1)
-    cost1[art] = -1.0
-    _run_simplex(st, cost1, budget, _first_column(lp))
+    first = _first_column(lp)
+    if first >= 0:
+        # The point mass is <= 0 on every oriented deviation row, so the
+        # ratio test can only pick the normalization row; after that pivot
+        # every basic phase-1 cost is 0 and no column prices in.
+        st.pivot(m - 1, first, st.column(first))
+        budget[0] -= 1
+    else:
+        cost1 = np.zeros(art + 1)
+        cost1[art] = -1.0
+        _run_simplex(st, cost1, budget)
     if st.beta[basis == art].sum() > tol.feas_tol:
         raise NumericalError(
             "phase 1 ended with a positive artificial: no point of the simplex meets "

@@ -16,10 +16,21 @@ checks are red by measurement, not by bug; the analysis in brief:
   -2.789.  Summing the subset objectives instead overshoots (1.7-2.2x the
   direct optimum) because every subset prices the whole pool for itself.
   Neither reading reaches 0.85x the direct objective.
-* check 09 — with a fixed subset *count* of 2, the subset size is n/2, so
-  the subgame LP doubles per +2 devices; beyond n=10 that work outgrows the
-  fixed per-call overhead and the decomposed wall-clock growth factor edges
-  past the linear bound (measured ~1.17-1.33 against bounds 1.2 and 1.167).
+* check 09, direct half — the direct solve must at least double its time
+  per +2 devices from n=10 on, and from 10 to 12 it mostly does not: at
+  n = 10-12 a direct solve's fixed per-call cost (LP build, certificate,
+  CE check) still weighs about as much as its 2^n work, and only by n=14
+  does the 2^n term dominate (x3.2-3.7 from 12 to 14).  Three alternating
+  runs each, one BLAS thread, measured direct growth from 10 to 12 of
+  x1.77, x1.80 and x1.85 before `sweeps.compare_solvers` solved each
+  distinct game once, and x1.92, x2.06 and x1.85 after; a reused game
+  reports the seconds of its one measured solve, so the column still
+  averages measured solve times.  Seven earlier runs read x1.60-2.00.
+* check 09, decomposed half — with a fixed subset *count* of 2, the subset
+  size is n/2, so the subgame LP doubles per +2 devices; beyond n=10 that
+  work outgrows the fixed per-call overhead and the decomposed wall-clock
+  growth factor edges past the linear bound (measured ~1.08-1.33 against
+  bounds 1.2 and 1.167).
 
 Check 04 asserts monotonicity only where more data still pays for itself.
 The pool ``alpha*(1 - err_a*S^-err_b)`` saturates while the data cost

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from fedpart import decomposition
 from fedpart import game_model as gm
-from fedpart.decomposition import partition, solve_decomposed
+from fedpart.decomposition import SolvedGames, partition, solve_decomposed
 from fedpart.equilibrium import sample_decision, solve_gpm, verify_ce
-from fedpart.errors import UsageError
+from fedpart.errors import CapacityError, UsageError
+from fedpart.lp_core import Tolerances
 from fedpart.rng import subset_seed
 
 
@@ -18,7 +20,7 @@ def test_partition_shapes():
     devs = devices_of(*([500] * 8))
     spec = partition(devs, 2)
     assert spec.assignment == ((0, 1, 2, 3), (4, 5, 6, 7))
-    assert spec.xi == 2 and spec.max_subset_size == 4
+    assert spec.xi == 2
 
     spec7 = partition(devices_of(*([500] * 7)), 3)
     assert tuple(len(b) for b in spec7.assignment) == (3, 2, 2)
@@ -61,8 +63,8 @@ def test_two_singletons_solo_profitable():
 
 def test_unpacks_and_timing():
     dec = solve_decomposed(devices_of(500, 500, 500), gm.GameParams(), xi=2, seed=3)
-    assert len(dec.timing.subset_seconds) == 2
-    assert dec.timing.total_seconds >= max(dec.timing.subset_seconds)
+    assert len(dec.subset_solutions) == len(dec.subset_objectives) == 2
+    assert dec.timing.total_seconds > 0
     assert dec.partition_spec.xi == 2
 
 
@@ -101,3 +103,69 @@ def test_decomposed_seed_sensitivity():
         assert len(dec.decision) == 6
         seen.add(dec.decision)
     assert len(seen) >= 1
+
+
+# ------------------------------------------------------------- the memo ---
+
+def test_memo_ignores_device_ids(solves):
+    memo = SolvedGames()
+    first = memo.solve(devices_of(50, 500, 500))
+    moved = [gm.DeviceProfile(id=5 + i, data_size=s) for i, s in enumerate((50, 500, 500))]
+    assert memo.solve(moved) == first
+    assert solves == [(50.0, 500.0, 500.0)]
+    # the order of the devices is part of the game
+    memo.solve(devices_of(500, 50, 500))
+    assert len(solves) == 2
+
+
+def test_hit_returns_the_first_solution_and_its_seconds(solves):
+    memo = SolvedGames()
+    sol, seconds = memo.solve(devices_of(50, 500))
+    again, again_seconds = memo.solve(devices_of(50, 500))
+    assert again is sol and again_seconds == seconds > 0
+    assert len(solves) == 1
+
+
+def test_params_tolerances_and_cap_are_part_of_the_key(solves):
+    memo = SolvedGames()
+    devs = devices_of(50, 500)
+    memo.solve(devs)
+    memo.solve(devs, gm.GameParams(), Tolerances(), gm.DEFAULT_ENUMERATION_CAP)  # defaults
+    assert len(solves) == 1
+    memo.solve(devs, gm.GameParams(alpha=12.0))
+    memo.solve(devs, tol=Tolerances(feas_tol=1e-9))
+    memo.solve(devs, enumeration_cap=5)
+    assert len(solves) == 4
+
+
+def test_games_above_the_keep_limit_are_solved_every_time(solves):
+    memo = SolvedGames()
+    assert decomposition.MEMO_MAX_DEVICES == 8
+    eight, nine = devices_of(*[50, 500] * 4), devices_of(*[50, 500] * 4, 50)
+    for _ in range(2):
+        memo.solve(eight)
+        memo.solve(nine)
+    assert [len(g) for g in solves] == [8, 9, 9]
+
+
+def test_a_raised_solve_is_not_kept(solves):
+    memo = SolvedGames()
+    devs = devices_of(50, 500, 500)
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            memo.solve(devs, enumeration_cap=2)
+    assert len(solves) == 2
+    with pytest.raises(UsageError, match="unique"):  # ids are checked on a hit too
+        memo.solve([gm.DeviceProfile(id=0, data_size=s) for s in (50, 500, 500)])
+    assert len(solves) == 2
+
+
+def test_later_subsets_reuse_earlier_games(solves):
+    # ids 2..3 of the second subset do not keep it from reusing the first
+    dec = solve_decomposed(devices_of(50, 500, 50, 500), xi=2, seed=1)
+    assert solves == [(50.0, 500.0)]
+    assert dec.subset_solutions[0] is dec.subset_solutions[1]
+    memo = SolvedGames()
+    solve_decomposed(devices_of(50, 500), xi=1, seed=1, solved=memo)
+    solve_decomposed(devices_of(50, 500, 50, 500), xi=2, seed=1, solved=memo)
+    assert len(solves) == 2

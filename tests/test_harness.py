@@ -1,5 +1,7 @@
 """Experiment harness: config parsing, protocol traces, sweeps, CSV, CLI."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedpart import game_model as gm
+from fedpart.decomposition import SolvedGames
 from fedpart.equilibrium import marginals, sample_decision, solve_gpm, threshold_decision
 from fedpart.errors import UsageError
 from fedpart.harness.config import (
@@ -23,6 +26,7 @@ from fedpart.harness.cli import main as cli_main
 from fedpart.harness.protocol import RoundSolution, run_protocol, solve_round
 from fedpart.harness.sweeps import (
     SWEEP_HEADER,
+    TIMING_COLUMNS,
     compare_solvers,
     default_grid,
     render_csv,
@@ -143,6 +147,42 @@ def test_effective_config_json_describes_its_config(cfg):
     assert len(again.device_mech) == (1 if shared else len(cfg.device_mech))
     for k in range(len(cfg.realize_devices(7))):
         assert again.mech_for(0 if shared else k) == cfg.mech_for(k)
+
+
+def _rerunnable(config_json):
+    """A row's config echo with its run seed moved into "output"."""
+    doc = json.loads(config_json)
+    doc["output"] = {"seed": doc.pop("seed")}
+    return doc
+
+
+@pytest.mark.parametrize("cfg", [load_config(p) for p in CONFIGS] + [ExperimentConfig()],
+                         ids=[p.stem for p in CONFIGS] + ["default"])
+def test_config_echo_is_a_fixed_point(cfg):
+    echo = effective_config_json(cfg, seed=7)
+    assert effective_config_json(parse_config(_rerunnable(echo)), seed=7) == echo
+
+
+def test_one_entry_mech_list_is_shared():
+    cfg = parse_config({"devices": {"count": 3},
+                        "mech": {"device": [{"theta": 0.25}]}})
+    assert [cfg.mech_for(k).theta for k in range(3)] == [0.25] * 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve-gpm", "solve-sgpm"])
+@pytest.mark.parametrize("path", CONFIGS + [None], ids=[p.stem for p in CONFIGS] + ["default"])
+def test_cli_reruns_its_config_echo(command, path, tmp_path, monkeypatch):
+    monkeypatch.delenv("FEDPART_OUT_DIR", raising=False)
+    if path is None:
+        path = tmp_path / "default.json"
+        path.write_text("{}", encoding="utf-8")
+    first, again, echo = tmp_path / "first.csv", tmp_path / "again.csv", tmp_path / "echo.json"
+    assert cli_main([command, str(path), "--seed", "3", "--out", str(first)]) == 0
+    header, row = csv.reader(io.StringIO(first.read_text(encoding="utf-8")))
+    echo.write_text(json.dumps(_rerunnable(row[header.index("config_json")])),
+                    encoding="utf-8")
+    assert cli_main([command, str(echo), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 # -------------------------------------------------------------- protocol ---
@@ -374,6 +414,65 @@ def test_compare_solvers_table():
     # same devices on both sides, reproducible end to end
     _, rows2 = compare_solvers(cfg, [2, 4], xi=2, reps=5)
     assert render_csv(header, rows2) == render_csv(header, rows)
+
+
+# ------------------------------------------------- one solve per game ---
+
+def _halves(sizes):
+    return [sizes[:len(sizes) // 2], sizes[len(sizes) // 2:]]
+
+
+def test_compare_solves_each_distinct_game_once(solves):
+    compare_solvers(parse_config({}), [4], xi=2, reps=30)
+    games = set()
+    for rep in range(30):
+        devices = gm.random_devices(4, seed=subset_seed(0, (4 << 20) | rep))
+        sizes = tuple(d.data_size for d in devices)
+        games.update([sizes, *_halves(sizes)])
+    assert len(solves) == len(set(solves)) == len(games) < 90
+    assert set(solves) == games
+
+
+def test_sweep_solves_each_distinct_game_once(solves):
+    sweep(load_config(CONFIGS[0].parent / "generated_decomposed.json"), "n", values=[4])
+    games = set()
+    for rep in range(30):
+        sizes = tuple(d.data_size for d in gm.random_devices(4, seed=subset_seed(0, rep)))
+        games.update(_halves(sizes))
+    assert len(solves) == len(set(solves)) == len(games) < 60
+    assert set(solves) == games
+
+
+def _solve_afresh(self, devices, params=None, tol=None,
+                  enumeration_cap=gm.DEFAULT_ENUMERATION_CAP):
+    """The reference: every game solved again, whatever came before."""
+    return solve_gpm(devices, params, tol, enumeration_cap), 0.0
+
+
+def _untimed(header, rows):
+    keep = [k for k, name in enumerate(header) if name not in TIMING_COLUMNS]
+    return [[row[k] for k in keep] for row in rows]
+
+
+@given(n=st.integers(1, 8),
+       sizes=st.one_of(
+           st.tuples(st.sampled_from([0.0, 50.0]), st.sampled_from([500.0, 120.5])),
+           st.lists(st.floats(0, 1000).map(lambda v: round(v, 3)), min_size=3, max_size=8,
+                    unique=True).map(tuple)),
+       mode=st.sampled_from(["direct", "decomposed"]), xi=st.integers(1, 4),
+       reps=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=25, deadline=None)
+def test_reused_solves_change_no_row(n, sizes, mode, xi, reps, seed):
+    cfg = parse_config({"devices": {"count": n, "size_choices": list(sizes)},
+                        "solver": {"mode": mode, "xi": xi}, "output": {"seed": seed}})
+    runs = []
+    for afresh in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if afresh:
+                mp.setattr(SolvedGames, "solve", _solve_afresh)
+            runs.append([_untimed(*sweep(cfg, "n", values=[n], reps=reps)),
+                         _untimed(*compare_solvers(cfg, [n], xi=xi, reps=reps))])
+    assert runs[0] == runs[1]
 
 
 # ------------------------------------------------------------------- csv ---
