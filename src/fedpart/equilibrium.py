@@ -32,6 +32,7 @@ from .lp_core import LinearProgram, LpSolution, Tolerances, solve
 from .rng import SplitMix64
 
 CE_TOL = 1e-7
+_CE_BLOCK = 1 << 17  # products per block of devices in `_check_ce`
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,33 @@ class CeCheck:
 def _check_ce(probabilities: np.ndarray, profits: np.ndarray,
               tol: float = CE_TOL) -> CeCheck:
     """Worst conditional deviation constraint of a distribution, given the
-    profit tensor (a device's profit is +0.0 wherever it sits out)."""
+    profit tensor (a device's profit is +0.0 wherever it sits out).
+
+    Device i's gain is its joining profit J at the outcomes where it joins
+    (q = 1) and 0.0 - J at the flipped outcome where it sits out (q = 0).
+    So row 2i+q of ``terms`` holds G(p) times that J over the outcomes p
+    with p_i = q, in canonical order, and the constraint's value is the
+    row's sum, negated for q = 0.  Devices are taken in blocks of at most
+    `_CE_BLOCK` products.
+    """
+    num, n = profits.shape
+    half = num // 2
+    per_block = max(1, _CE_BLOCK // max(1, 2 * half))
+    values = np.empty(2 * n)
+    for start in range(0, n, per_block):
+        block = range(start, min(n, start + per_block))
+        terms = np.empty((2 * len(block), half))
+        for k, i in enumerate(block):
+            joined = gm.flip_pairs(profits[:, i], i)[:, 1:, :]
+            pair = terms[2 * k:2 * k + 2].reshape(2, -1, 1 << i).transpose(1, 0, 2)
+            np.multiply(gm.flip_pairs(probabilities, i), joined, out=pair)
+        values[2 * start:2 * block.stop] = terms.sum(axis=1)
+    np.negative(values[0::2], out=values[0::2])
     worst = (0.0, None, None, None)
-    for i in range(profits.shape[1]):
-        joined = gm.flip_pairs(profits[:, i], i)[:, 1, :]
-        prob = gm.flip_pairs(probabilities, i)
-        for q, gains in ((0, np.subtract(0.0, joined)), (1, joined)):
-            value = float(np.sum((prob[:, q, :] * gains).reshape(-1)))
-            if value < worst[0]:
-                worst = (value, i, q, 1 - q)
+    if n:
+        k = int(np.argmin(values))
+        if values[k] < worst[0]:
+            worst = (float(values[k]), k // 2, k % 2, 1 - k % 2)
     violation = -worst[0]
     return CeCheck(ok=violation <= tol, worst_violation=violation,
                    worst_device=worst[1], worst_from=worst[2], worst_to=worst[3])
@@ -148,15 +167,15 @@ def build_gpm(devices: Sequence[gm.DeviceProfile],
         raise UsageError("need at least one device")
     profits = gm.profit_tensor(devices, params, cap=enumeration_cap)
     num = 2 ** n
-    # Row 2i+q is device i's gain V_i(p) - V_i(flip_i(p)) where p_i = q.  V_i
-    # is +0.0 wherever device i sits out, so row 2i+1 is its joining profit J
-    # and row 2i is 0.0 - J at the flipped outcome (np.subtract, not unary
-    # minus, so that a zero J gives +0.0).
-    rows = np.zeros((2 * n + 1, num))
+    # Row 2i+q is device i's gain V_i(p) - V_i(flip_i(p)) where p_i = q, and
+    # +0.0 elsewhere.  V_i is +0.0 wherever device i sits out, so row 2i+1 is
+    # V_i itself and row 2i is 0.0 - V_i at the flipped outcome (np.subtract,
+    # not unary minus, so that a zero gives +0.0).
+    rows = np.empty((2 * n + 1, num))
+    rows[1::2] = profits.T
     for i in range(n):
-        joined = gm.flip_pairs(profits[:, i], i)[:, 1, :]
-        gm.flip_pairs(rows[2 * i + 1], i)[:, 1, :] = joined
-        np.subtract(0.0, joined, out=gm.flip_pairs(rows[2 * i], i)[:, 0, :])
+        np.subtract(0.0, gm.flip_pairs(rows[2 * i + 1], i)[:, ::-1, :],
+                    out=gm.flip_pairs(rows[2 * i], i))
     rows[-1] = 1.0
     return GpmProgram(lp=LinearProgram(c=profits.sum(axis=1), rows=rows), num_devices=n,
                       raw_constraint_count=num + 4 * n + 1, profits=profits)

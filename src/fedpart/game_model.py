@@ -73,6 +73,12 @@ def validate_devices(devices: Sequence[DeviceProfile]) -> None:
         raise UsageError("device ids must be unique within a game instance")
 
 
+def check_enumeration_cap(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Refuse a game whose 2**n outcomes exceed the enumeration cap."""
+    if n > cap:
+        raise CapacityError(f"n={n} exceeds enumeration cap {cap} (2**n outcomes)")
+
+
 def validate_decision(p: Sequence[int], n: int) -> Decision:
     if len(p) != n:
         raise UsageError(f"decision vector has length {len(p)}, expected {n}")
@@ -146,13 +152,14 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
     """(2**n, n) table of device profits over every joint outcome.
 
     Row k equals ``device_profits(decision_from_index(k, n), ...)``.
-    Built one device column at a time; besides the result it holds only a
-    few per-outcome vectors.
+    Every column is computed at every outcome and then masked to the
+    outcomes where its device joins; besides the result this holds a few
+    per-outcome vectors and the (2**n, n) participation mask, one byte per
+    entry.
     """
     validate_devices(devices)
     n = len(devices)
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds enumeration cap {cap} (2**n outcomes)")
+    check_enumeration_cap(n, cap)
     if n == 0:
         return np.zeros((1, 0))
 
@@ -166,14 +173,18 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
     pool = pool_payment(totals, game)
     denom = game.delta + totals
 
-    out = np.zeros((1 << n, n))
-    for i, size in enumerate(sizes):
-        joined = flip_pairs(out[:, i], i)[:, 1, :]
-        if size > 0:
-            np.divide(size, flip_pairs(denom, i)[:, 1, :], out=joined)
-            joined *= flip_pairs(pool, i)[:, 1, :]
-        d = devices[i]
-        joined -= d.beta * d.data_size + d.gamma * d.channel_cost
+    # a participant's data share of the pool less its cost; a size-0
+    # device's share is +0.0
+    size = np.array(sizes)
+    out = np.divide(size, denom[:, None])
+    out *= pool[:, None]
+    out[:, size == 0] = 0.0
+    out -= [d.beta * d.data_size + d.gamma * d.channel_cost for d in devices]
+    # zero where the device sits out; the product is -0.0 at a negative
+    # profit, and adding +0.0 turns every zero to +0.0 and changes nothing else
+    outcomes = np.arange(1 << n, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    out *= np.unpackbits(outcomes, axis=1, count=n, bitorder="little").view(bool)
+    out += 0.0
     return out
 
 

@@ -189,32 +189,43 @@ def compare_solvers(cfg: ExperimentConfig, n_list: Sequence[int], xi: int = 2,
     profit column is a sample mean, not an optimum.  Both sides solve
     through one memo, so each timing column averages one measured solve
     time per rep.
+
+    Each side is timed in its own pass, the decomposed side first, and a
+    pass takes rep 0 of every n, then rep 1 of every n, and so on.  So no
+    decomposed solve pays for the cache footprint of a 2^n-outcome direct
+    solve just before it, every subset time is measured within the
+    decomposed pass (a direct game of k devices is measured later and can
+    only reuse a subset's time, not lend it one), and a slow spell of a
+    shared machine lands on every n alike instead of on one point.
     """
     if xi < 1:
         raise UsageError("xi must be >= 1")
+    if any(n < 1 for n in n_list):
+        raise UsageError("every n must be >= 1")
+    tol, cap = cfg.solver.tolerances, cfg.solver.enumeration_cap
+    for n in n_list:
+        gm.check_enumeration_cap(n, cap)  # as the direct solve of n would
     base_seed = cfg.output.seed
     solved = SolvedGames()
-    tol, cap = cfg.solver.tolerances, cfg.solver.enumeration_cap
-    rows: list[list[Any]] = []
-    for n in n_list:
-        if n < 1:
-            raise UsageError("every n must be >= 1")
-        direct_profit = np.empty(reps)
-        improved_profit = np.empty(reps)
-        direct_s = np.empty(reps)
-        improved_s = np.empty(reps)
-        for rep in range(reps):
-            dev_seed = subset_seed(base_seed, (n << 20) | rep)
-            devices = gm.random_devices(n, seed=dev_seed)
-            sol, direct_s[rep] = solved.solve(devices, cfg.game, tol, cap)
-            direct_profit[rep] = sol.total_profit
-            dec = solve_decomposed(devices, cfg.game, xi=min(xi, n), seed=dev_seed,
+    seeds = [[subset_seed(base_seed, (n << 20) | rep) for n in n_list] for rep in range(reps)]
+    games = [[gm.random_devices(n, seed=seed) for n, seed in zip(n_list, row)] for row in seeds]
+    # profit and seconds of every (rep, point), per side
+    improved = np.empty((2, reps, len(n_list)))
+    for rep in range(reps):
+        for k, (n, devices) in enumerate(zip(n_list, games[rep])):
+            dec = solve_decomposed(devices, cfg.game, xi=min(xi, n), seed=seeds[rep][k],
                                    tol=tol, enumeration_cap=cap, solved=solved)
-            improved_s[rep] = dec.timing.total_seconds
-            improved_profit[rep] = dec.reported_profit
+            improved[:, rep, k] = dec.reported_profit, dec.timing.total_seconds
+    direct = np.empty((2, reps, len(n_list)))
+    for rep in range(reps):
+        for k, devices in enumerate(games[rep]):
+            sol, seconds = solved.solve(devices, cfg.game, tol, cap)
+            direct[:, rep, k] = sol.total_profit, seconds
+    rows: list[list[Any]] = []
+    for k, n in enumerate(n_list):
         rows.append([n, xi, reps,
-                     float(direct_profit.mean()), float(improved_profit.mean()),
-                     float(direct_s.mean() * 1e3), float(improved_s.mean() * 1e3),
+                     float(direct[0, :, k].mean()), float(improved[0, :, k].mean()),
+                     float(direct[1, :, k].mean() * 1e3), float(improved[1, :, k].mean() * 1e3),
                      effective_config_json(cfg, base_seed)])
     return list(COMPARE_HEADER), rows
 

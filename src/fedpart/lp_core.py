@@ -65,6 +65,7 @@ from .errors import NumericalError, UsageError
 _PIVOT_TOL = 1e-10
 _RC_TOL = 1e-9
 _RESCUE_BLOCK = 1024  # candidate columns per B⁻¹A block in the rescue scan
+_STABLE_BLOCK = 1 << 14  # columns per block of the point-mass feasibility scan
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,12 @@ def check_feasible(lp: LinearProgram, x: Sequence[float],
     bound = np.maximum(0.0, -x)
     worst = ""
     max_v = 0.0
-    if resid.max() > max_v:
-        k = int(resid.argmax())
+    k = int(resid.argmax())
+    if resid[k] > max_v:
         max_v = float(resid[k])
         worst = f"row[{k}] ({lp.senses[k]} {lp.rhs[k]:g})"
-    if bound.max() > max_v:
-        j = int(bound.argmax())
+    j = int(bound.argmax())
+    if bound[j] > max_v:
         max_v = float(bound[j])
         worst = f"x[{j}] >= 0"
     return FeasibilityReport(ok=max_v <= tol.feas_tol, max_violation=max_v,
@@ -170,6 +171,8 @@ class _Basis:
     +1 on the normalization.  Column nv + k is the unit column of row k: the
     slack of deviation row k, or for k = m-1 the artificial, column
     ``n_real``.  The starting basis holds them all, so it starts as B = I.
+    B⁻¹ and β are the two parts of one m x (m+1) array, so that a pivot
+    updates both with one rank-one product.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -180,19 +183,26 @@ class _Basis:
         self.nv = lp.num_vars
         self.n_real = self.nv + m - 1  # columns that survive into phase 2
         self.basis = np.arange(self.nv, self.nv + m)
-        self.binv = np.eye(m)
-        self.beta = lp.rhs * self.orient
-        self.d = np.empty(self.n_real)  # reduced costs of the real columns
+        self._inv_beta = np.zeros((m, m + 1))
+        self._inv_beta.flat[::m + 2] = 1.0  # B⁻¹ = I
+        self.binv = self._inv_beta[:, :m]
+        self.beta = self._inv_beta[:, m]
+        self.beta[:] = lp.rhs * self.orient
+        # reduced costs of every column; the artificial's slot, d[n_real],
+        # is written when it is basic and read by no rule
+        self.d = np.empty(self.n_real + 1)
+        self._d_real = self.d[:self.n_real]
+        self._d_struct = self.d[:self.nv]
+        self._d_slack = self.d[self.nv:self.n_real]
 
     def price(self, cost: np.ndarray) -> np.ndarray:
         """Reduced costs ``cost_j - y a_j`` of every real column, y = c_B B⁻¹."""
         y = cost[self.basis] @ self.binv
-        d, nv = self.d, self.nv
-        np.matmul(y * self.orient, self.rows, out=d[:nv])
-        np.subtract(cost[:nv], d[:nv], out=d[:nv])
-        d[nv:] = -y[:-1]
-        d[self.basis[self.basis < self.n_real]] = 0.0
-        return d
+        np.matmul(y * self.orient, self.rows, out=self._d_struct)
+        np.subtract(cost[:self.nv], self._d_struct, out=self._d_struct)
+        np.negative(y[:-1], out=self._d_slack)
+        self.d[self.basis] = 0.0
+        return self._d_real
 
     def raw(self, j: int) -> np.ndarray:
         """Column j of the oriented standard-form matrix."""
@@ -208,7 +218,7 @@ class _Basis:
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """B⁻¹ A[:, idx] for sorted real column indices ``idx``."""
-        split = int(np.searchsorted(idx, self.nv))
+        split = int(idx.searchsorted(self.nv))
         out = np.empty((len(self.basis), idx.size))
         out[:, :split] = (self.binv * self.orient) @ self.rows[:, idx[:split]]
         out[:, split:] = self.binv[:, idx[split:] - self.nv]
@@ -216,22 +226,23 @@ class _Basis:
 
     def pivot(self, r: int, j: int, alpha: np.ndarray) -> None:
         """Make column j basic in row r, given its transformed column ``alpha``."""
-        binv, beta = self.binv, self.beta
-        pivot_row = binv[r] / alpha[r]
-        pivot_value = beta[r] / alpha[r]
-        col = alpha.copy()
-        col[r] = 0.0
-        binv -= np.outer(col, pivot_row)
-        beta -= col * pivot_value
-        binv[r] = pivot_row
-        beta[r] = pivot_value
+        inv_beta = self._inv_beta
+        pivot_row = inv_beta[r] / alpha[r]
+        # row r is overwritten below, so alpha[r] need not be zeroed first
+        inv_beta -= alpha[:, None] * pivot_row
+        inv_beta[r] = pivot_row
         # keep β nonnegative: drift below zero poisons the ratio test
-        np.maximum(beta, 0.0, out=beta)
+        np.maximum(self.beta, 0.0, out=self.beta)
         self.basis[r] = j
 
     def basis_matrix(self) -> np.ndarray:
         """The basic columns of the oriented standard-form matrix, built afresh."""
-        return np.column_stack([self.raw(j) for j in self.basis])
+        m = len(self.basis)
+        slack = (self.basis >= self.nv).nonzero()[0]
+        out = self.orient[:, None] * self.rows[:, np.minimum(self.basis, self.nv - 1)]
+        out[:, slack] = 0.0
+        out[self.basis[slack] - self.nv, slack] = 1.0
+        return out
 
 
 def _first_column(lp: LinearProgram) -> int:
@@ -241,19 +252,20 @@ def _first_column(lp: LinearProgram) -> int:
     deviation row; in a game that is a pure Nash equilibrium.  Ties go to
     the lowest index.
     """
-    stable = np.ones(lp.num_vars, dtype=bool)
-    for row in lp.rows[:-1]:
-        stable &= row >= 0
+    stable = np.empty(lp.num_vars, dtype=bool)
+    for start in range(0, lp.num_vars, _STABLE_BLOCK):
+        block = lp.rows[:-1, start:start + _STABLE_BLOCK]
+        np.logical_and.reduce(block >= 0, axis=0, out=stable[start:start + _STABLE_BLOCK])
     if not stable.any():
         return -1
-    return int(np.argmax(np.where(stable, lp.c, -np.inf)))
+    return int(np.where(stable, lp.c, -np.inf).argmax())
 
 
 def _choose_entering(d: np.ndarray, bland: bool) -> int:
     if bland:
-        idx = np.flatnonzero(d > _RC_TOL)
+        idx = (d > _RC_TOL).nonzero()[0]
         return int(idx[0]) if idx.size else -1
-    j = int(np.argmax(d))
+    j = int(d.argmax())
     return j if d[j] > _RC_TOL else -1
 
 
@@ -269,7 +281,7 @@ def _choose_entering_rescue(st: _Basis, d: np.ndarray) -> int:
     unbounded ray; the caller's ratio test then raises.  The candidates'
     B⁻¹A columns are formed one block at a time.
     """
-    cand = np.flatnonzero(d > _RC_TOL)
+    cand = (d > _RC_TOL).nonzero()[0]
     best, best_gain = -1, 1e-12
     beta = st.beta[:, None]
     for start in range(0, cand.size, _RESCUE_BLOCK):
@@ -278,33 +290,28 @@ def _choose_entering_rescue(st: _Basis, d: np.ndarray) -> int:
         ratio = np.full_like(cols, np.inf)
         np.divide(beta, cols, out=ratio, where=cols > _PIVOT_TOL)
         gain = d[idx] * ratio.min(axis=0)
-        k = int(np.argmax(gain))
+        k = int(gain.argmax())
         if gain[k] > best_gain:
             best, best_gain = int(idx[k]), gain[k]
     return best
 
 
 def _choose_leaving(st: _Basis, alpha: np.ndarray) -> int:
-    ok = alpha > _PIVOT_TOL
-    if not ok.any():
+    rows = (alpha > _PIVOT_TOL).nonzero()[0]
+    if not rows.size:
         return -1
-    ratios = np.full(alpha.size, np.inf)
-    ratios[ok] = st.beta[ok] / alpha[ok]
-    cand = np.flatnonzero(ratios == ratios.min())
-    if cand.size > 1:
-        # lexicographic tie-break: compare the candidate rows of B⁻¹ scaled
-        # by the pivot column; B starts as I, so these rows start
-        # lexicographically positive
-        inv = 1.0 / alpha[cand]
-        for c in range(st.binv.shape[1]):
-            vals = st.binv[cand, c] * inv
-            keep = vals == vals.min()
-            if not keep.all():
-                cand = cand[keep]
-                inv = inv[keep]
-            if cand.size == 1:
-                break
-    return int(cand[np.argmin(st.basis[cand])]) if cand.size > 1 else int(cand[0])
+    ratios = st.beta[rows] / alpha[rows]
+    k = int(ratios.argmin())
+    tied = ratios == ratios[k]
+    if np.count_nonzero(tied) == 1:
+        return int(rows[k])
+    cand = rows[tied]
+    # lexicographic tie-break: the candidate rows of B⁻¹ scaled by the pivot
+    # column, compared column by column, then the lowest basic index; B
+    # starts as I, so these rows start lexicographically positive.  lexsort
+    # takes its last key as the primary one.
+    scaled = st.binv[cand] * (1.0 / alpha[cand])[:, None]
+    return int(cand[np.lexsort((st.basis[cand], *scaled.T[::-1]))[0]])
 
 
 def _run_simplex(st: _Basis, cost: np.ndarray, budget: list[int]) -> None:
@@ -364,14 +371,15 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
         cost1 = np.zeros(art + 1)
         cost1[art] = -1.0
         _run_simplex(st, cost1, budget)
-    if st.beta[basis == art].sum() > tol.feas_tol:
+    art_rows = (basis == art).nonzero()[0]  # at most one row
+    if art_rows.size and st.beta[art_rows[0]] > tol.feas_tol:
         raise NumericalError(
             "phase 1 ended with a positive artificial: no point of the simplex meets "
             "the deviation rows, which a game's program always can")
     # pivot a leftover zero-level artificial out of the basis; if its row of
     # B⁻¹A is zero the row depends on the others, and the artificial stays
     # basic at zero (its dual is 0, as if the row were dropped)
-    for r in np.flatnonzero(basis == art):
+    for r in art_rows:
         rho = st.binv[r]
         row = np.concatenate([(rho * st.orient) @ lp.rows, rho[:-1]])
         cand = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
@@ -402,10 +410,11 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
     rc = lp.c - y @ lp.rows
     # the deviation rows are '>=' rows of a maximization, so they need y <= 0
     dual_v = float(max(rc.max(initial=0.0), y[:-1].max(initial=0.0)))
-    slack = lp.rows @ x_struct - lp.rhs
-    cs_v = float(np.max(np.abs(y * slack), initial=0.0))
-    cs_v = max(cs_v, float(np.max(np.abs(x_struct * rc), initial=0.0)))
-    gap = abs(objective - float(y @ lp.rhs))
+    rhs = lp.rhs
+    slack = lp.rows @ x_struct - rhs
+    cs_v = float(np.abs(y * slack).max(initial=0.0))
+    cs_v = max(cs_v, float(np.abs(x_struct * rc).max(initial=0.0)))
+    gap = abs(objective - float(y @ rhs))
 
     if primal_v > tol.feas_tol or dual_v > tol.cs_tol or cs_v > tol.cs_tol or gap > tol.gap_tol:
         raise NumericalError(

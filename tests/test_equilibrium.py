@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedpart import game_model as gm
+from fedpart import equilibrium, game_model as gm
 from fedpart.equilibrium import (
     CeCheck,
     CorrelatedDistribution,
@@ -236,3 +236,21 @@ def test_single_device_game():
     sol_small = solve_gpm(devices_of(50))
     assert sol_small.total_profit == pytest.approx(0.0, abs=1e-9)
     assert marginals(sol_small.distribution)[0] == pytest.approx(0.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("block", [1, 64, 1 << 17])
+def test_check_ce_blockwise_matches_masked_formula(block, monkeypatch):
+    # Any block size gives the masked formula's sums to the bit: one device
+    # per block, two per block with a shorter last block (the 5-device
+    # game at 64), and one block for all.
+    monkeypatch.setattr(equilibrium, "_CE_BLOCK", block)
+    game = gm.GameParams()
+    rng = np.random.default_rng(5)
+    for sizes in [(500,), (50, 500), (100, 500, 900), (0, 50, 500, 500, 120), (50,) * 6]:
+        devs = devices_of(*sizes)
+        dists = [solve_gpm(devs).distribution]
+        for _ in range(3):
+            p = rng.random(2 ** len(sizes)) ** 4
+            dists.append(CorrelatedDistribution(p / p.sum(), len(sizes)))
+        for dist in dists:
+            assert verify_ce(dist, devs, game) == _masked_verify_ce(dist, devs, game)

@@ -181,3 +181,18 @@ def test_pool_monotone_in_pool_size():
     vals = gm.pool_payment([50.0, 200.0, 800.0, 3200.0], game).tolist()
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < game.alpha  # bounded above by alpha
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 50.0, 500.0, 1234.5]),
+                          st.sampled_from([0.0, 3.5e5])), min_size=1, max_size=6),
+       st.sampled_from([0.0, 0.7, 2.0]))
+def test_profit_tensor_bytes_match_device_profits(devices, err_b):
+    # Entry by entry, signed zeros included: +0.0 wherever a device sits
+    # out, and a size-0, cost-free participant earns +0.0 too.
+    devs = [gm.DeviceProfile(id=i, data_size=s, channel_cost=c)
+            for i, (s, c) in enumerate(devices)]
+    game = gm.GameParams(err_b=err_b)
+    tensor = gm.profit_tensor(devs, game)
+    for k in range(tensor.shape[0]):
+        p = gm.decision_from_index(k, len(devs))
+        assert tensor[k].tobytes() == gm.device_profits(p, devs, game).tobytes(), (k, p)

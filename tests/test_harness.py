@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedpart import game_model as gm
-from fedpart.decomposition import SolvedGames
+from fedpart.decomposition import SolvedGames, solve_decomposed
 from fedpart.equilibrium import marginals, sample_decision, solve_gpm, threshold_decision
-from fedpart.errors import UsageError
+from fedpart.errors import CapacityError, UsageError
 from fedpart.harness.config import (
     ExperimentConfig,
     effective_config_json,
@@ -23,6 +23,7 @@ from fedpart.harness.config import (
     parse_config,
 )
 from fedpart.harness.cli import main as cli_main
+from fedpart.harness import sweeps as sweeps_module
 from fedpart.harness.protocol import RoundSolution, run_protocol, solve_round
 from fedpart.harness.sweeps import (
     SWEEP_HEADER,
@@ -414,6 +415,69 @@ def test_compare_solvers_table():
     # same devices on both sides, reproducible end to end
     _, rows2 = compare_solvers(cfg, [2, 4], xi=2, reps=5)
     assert render_csv(header, rows2) == render_csv(header, rows)
+
+
+def _compare_alternating(cfg, n_list, xi, reps):
+    """The reference: per n and rep, a fresh direct solve, then the
+    decomposed solve of the same devices; no memo, no passes."""
+    rows = []
+    for n in n_list:
+        direct, improved = [], []
+        for rep in range(reps):
+            dev_seed = subset_seed(cfg.output.seed, (n << 20) | rep)
+            devices = gm.random_devices(n, seed=dev_seed)
+            direct.append(solve_gpm(devices, cfg.game).total_profit)
+            improved.append(solve_decomposed(devices, cfg.game, xi=min(xi, n),
+                                             seed=dev_seed).reported_profit)
+        rows.append([n, xi, reps, float(np.mean(direct)), float(np.mean(improved))])
+    return rows
+
+
+@pytest.mark.parametrize("n_list, xi, reps", [([1, 3, 4, 6], 2, 5), ([5, 2, 8], 3, 4),
+                                              ([4, 4], 2, 3), ([], 2, 3)])
+def test_compare_rows_do_not_depend_on_the_pass_order(n_list, xi, reps):
+    cfg = parse_config({"output": {"seed": 11}})
+    header, rows = compare_solvers(cfg, n_list, xi=xi, reps=reps)
+    keep = [header.index(name) for name in
+            ("n", "xi", "reps", "direct_profit", "improved_profit")]
+    assert [[row[k] for k in keep] for row in rows] == \
+        _compare_alternating(cfg, n_list, xi, reps)
+
+
+def test_compare_times_each_side_in_its_own_pass(monkeypatch):
+    # The decomposed pass runs first and the direct pass after it; each
+    # takes rep 0 of every n, then rep 1 of every n.
+    calls = []
+    real_decomposed, real_solve = sweeps_module.solve_decomposed, SolvedGames.solve
+    inside = []
+
+    def decomposed(devices, *args, **kwargs):
+        calls.append(("decomposed", len(devices)))
+        inside.append(True)
+        try:
+            return real_decomposed(devices, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def solve(self, devices, *args, **kwargs):
+        if not inside:
+            calls.append(("direct", len(devices)))
+        return real_solve(self, devices, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps_module, "solve_decomposed", decomposed)
+    monkeypatch.setattr(SolvedGames, "solve", solve)
+    compare_solvers(parse_config({}), [2, 10, 6], xi=2, reps=3)
+    assert calls == ([("decomposed", n) for _ in range(3) for n in (2, 10, 6)]
+                     + [("direct", n) for _ in range(3) for n in (2, 10, 6)])
+
+
+def test_compare_rejects_a_bad_n_before_solving(solves):
+    with pytest.raises(UsageError, match="every n"):
+        compare_solvers(parse_config({}), [2, 0], xi=2, reps=3)
+    # the direct solve's refusal, although the 3-device subsets would fit
+    with pytest.raises(CapacityError, match="n=6 exceeds enumeration cap 4"):
+        compare_solvers(parse_config({"solver": {"enumeration_cap": 4}}), [2, 6], xi=2, reps=3)
+    assert solves == []
 
 
 # ------------------------------------------------- one solve per game ---

@@ -189,3 +189,48 @@ def test_impossible_ends_raise_numerical(monkeypatch):
     monkeypatch.setattr(lp_core, "_choose_leaving", lambda st, alpha: -1)
     with pytest.raises(NumericalError, match="no leaving row"):
         solve(ce_program(CHICKEN))
+
+
+def _leaving_by_column_scan(binv, beta, basis, alpha):
+    """The reference ratio test: min ratio, then ties broken on the scaled
+    rows of B⁻¹ one column at a time, then on the lowest basic index."""
+    ok = alpha > lp_core._PIVOT_TOL
+    if not ok.any():
+        return -1
+    ratios = np.full(alpha.size, np.inf)
+    ratios[ok] = beta[ok] / alpha[ok]
+    cand = np.flatnonzero(ratios == ratios.min())
+    inv = 1.0 / alpha[cand]
+    for c in range(binv.shape[1]):
+        if cand.size == 1:
+            break
+        vals = binv[cand, c] * inv
+        keep = vals == vals.min()
+        cand, inv = cand[keep], inv[keep]
+    return int(cand[np.argmin(basis[cand])])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_leaving_row_matches_the_column_scan(seed):
+    # Small integer data make ratio ties and equal B⁻¹ entries common, so
+    # the tie-break is reached at every depth, down to the basic index.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 8))
+    st_ = type("Basis", (), {})()
+    st_.binv = rng.integers(-2, 3, size=(m, m)).astype(float)
+    st_.beta = rng.integers(0, 3, size=m).astype(float)
+    st_.basis = rng.permutation(3 * m)[:m]
+    alpha = rng.integers(-1, 3, size=m).astype(float)
+    if rng.random() < 0.3:
+        st_.binv[:] = st_.binv[0]  # identical rows: only the basic index differs
+    assert lp_core._choose_leaving(st_, alpha) == \
+        _leaving_by_column_scan(st_.binv, st_.beta, st_.basis, alpha)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_point_mass_scan_is_blockwise_exact(seed, monkeypatch):
+    lp = random_game(np.random.default_rng(seed), normal=seed % 2 == 0)
+    whole = lp_core._first_column(lp)
+    monkeypatch.setattr(lp_core, "_STABLE_BLOCK", 3)
+    assert lp_core._first_column(lp) == whole
