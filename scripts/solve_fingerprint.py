@@ -32,8 +32,8 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from fedpart.equilibrium import _check_ce, build_gpm, solve_gpm
-from fedpart.game_model import DeviceProfile
+from fedpart.equilibrium import build_gpm, solve_gpm, verify_ce
+from fedpart.game_model import DeviceProfile, GameParams, profit_tensor
 from fedpart.rng import SplitMix64
 
 
@@ -94,15 +94,17 @@ def games() -> list[list[DeviceProfile]]:
 def absorb(h, devices: list[DeviceProfile]) -> None:
     try:
         program = build_gpm(devices)
-        for arr in (program.lp.rows, program.lp.c, program.profits):
+        for arr in (program.lp.rows, program.lp.c, profit_tensor(devices, GameParams())):
             h.update(arr.tobytes())
         sol = solve_gpm(devices)
         lp = sol.lp_solution
         h.update(lp.x.tobytes())
         h.update(lp.dual.tobytes())
-        h.update(float(sol.total_profit).hex().encode())
+        for value in (sol.total_profit, lp.max_primal_violation, lp.max_dual_violation,
+                      lp.max_cs_violation, lp.duality_gap):
+            h.update(float(value).hex().encode())
         h.update(struct.pack("<q", lp.iterations))
-        ce = _check_ce(lp.x, program.profits)
+        ce = verify_ce(sol.distribution, devices, GameParams())
         h.update(repr((ce.ok, float(ce.worst_violation).hex(), ce.worst_device,
                        ce.worst_from, ce.worst_to)).encode())
     except Exception as exc:  # a refused or failed solve is part of the fingerprint

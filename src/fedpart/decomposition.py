@@ -109,15 +109,10 @@ def partition(devices: Sequence[gm.DeviceProfile], xi: int) -> PartitionSpec:
 
 
 @dataclass(frozen=True)
-class TimingBreakdown:
-    total_seconds: float
-
-
-@dataclass(frozen=True)
 class DecomposedSolution:
     decision: gm.Decision
     reported_profit: float
-    timing: TimingBreakdown
+    seconds: float  # the subset solves' measured seconds, summed
     partition_spec: PartitionSpec
     subset_objectives: tuple[float, ...]
     subset_solutions: tuple[GpmSolution, ...] = field(repr=False, default=())
@@ -158,7 +153,7 @@ def solve_decomposed(devices: Sequence[gm.DeviceProfile],
     return DecomposedSolution(
         decision=decision,
         reported_profit=gm.total_profit(decision, devices, params),
-        timing=TimingBreakdown(total_seconds=seconds),
+        seconds=seconds,
         partition_spec=spec,
         subset_objectives=tuple(sol.total_profit for sol in solutions),
         subset_solutions=tuple(solutions),

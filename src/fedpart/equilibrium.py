@@ -91,19 +91,19 @@ class CeCheck:
     worst_to: int | None = None
 
 
-def _check_ce(probabilities: np.ndarray, profits: np.ndarray,
+def _check_ce(probabilities: np.ndarray, gains: np.ndarray,
               tol: float = CE_TOL) -> CeCheck:
-    """Worst conditional deviation constraint of a distribution, given the
-    profit tensor (a device's profit is +0.0 wherever it sits out).
+    """Worst conditional deviation constraint of a distribution, given each
+    device's joining profit J: one row per device over the outcomes, +0.0
+    wherever it sits out (the LP's odd rows, or the profit tensor's columns).
 
-    Device i's gain is its joining profit J at the outcomes where it joins
-    (q = 1) and 0.0 - J at the flipped outcome where it sits out (q = 0).
-    So row 2i+q of ``terms`` holds G(p) times that J over the outcomes p
-    with p_i = q, in canonical order, and the constraint's value is the
-    row's sum, negated for q = 0.  Devices are taken in blocks of at most
-    `_CE_BLOCK` products.
+    Device i's gain is J at the outcomes where it joins (q = 1) and 0.0 - J
+    at the flipped outcome where it sits out (q = 0).  So row 2i+q of
+    ``terms`` holds G(p) times that J over the outcomes p with p_i = q, in
+    canonical order, and the constraint's value is the row's sum, negated
+    for q = 0.  Devices are taken in blocks of at most `_CE_BLOCK` products.
     """
-    num, n = profits.shape
+    n, num = gains.shape
     half = num // 2
     per_block = max(1, _CE_BLOCK // max(1, 2 * half))
     values = np.empty(2 * n)
@@ -111,7 +111,7 @@ def _check_ce(probabilities: np.ndarray, profits: np.ndarray,
         block = range(start, min(n, start + per_block))
         terms = np.empty((2 * len(block), half))
         for k, i in enumerate(block):
-            joined = gm.flip_pairs(profits[:, i], i)[:, 1:, :]
+            joined = gm.flip_pairs(gains[i], i)[:, 1:, :]
             pair = terms[2 * k:2 * k + 2].reshape(2, -1, 1 << i).transpose(1, 0, 2)
             np.multiply(gm.flip_pairs(probabilities, i), joined, out=pair)
         values[2 * start:2 * block.stop] = terms.sum(axis=1)
@@ -136,7 +136,7 @@ def verify_ce(dist: CorrelatedDistribution, devices: Sequence[gm.DeviceProfile],
     """
     if dist.num_devices != len(devices):
         raise UsageError("distribution and device list disagree on n")
-    return _check_ce(dist.probabilities, gm.profit_tensor(devices, params), tol)
+    return _check_ce(dist.probabilities, gm.profit_tensor(devices, params).T, tol)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,6 @@ class GpmProgram:
     lp: LinearProgram
     num_devices: int
     raw_constraint_count: int
-    profits: np.ndarray
 
 
 def build_gpm(devices: Sequence[gm.DeviceProfile],
@@ -178,7 +177,7 @@ def build_gpm(devices: Sequence[gm.DeviceProfile],
                     out=gm.flip_pairs(rows[2 * i], i))
     rows[-1] = 1.0
     return GpmProgram(lp=LinearProgram(c=profits.sum(axis=1), rows=rows), num_devices=n,
-                      raw_constraint_count=num + 4 * n + 1, profits=profits)
+                      raw_constraint_count=num + 4 * n + 1)
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def solve_gpm(devices: Sequence[gm.DeviceProfile],
     program = build_gpm(devices, params, enumeration_cap=enumeration_cap)
     sol = solve(program.lp, tol)
     dist = CorrelatedDistribution(sol.x, program.num_devices)
-    check = _check_ce(dist.probabilities, program.profits)
+    check = _check_ce(dist.probabilities, program.lp.rows[1:-1:2])
     if not check.ok:
         raise NumericalError(
             f"solver output violates a deviation constraint by {check.worst_violation:.3e} "

@@ -5,6 +5,13 @@ keys anywhere are rejected outright so a typo cannot silently run the
 default experiment.  Devices are either listed explicitly or described by
 a generator spec whose draws come from the run's seeded size stream.
 
+Every section is an object read off its dataclass's fields, and each value
+must have its field's type: a float takes any finite number (10 and 10.0
+echo alike), an int an integral one (2.7 is refused), a list a list of
+numbers, an optional field also null, and "mode" and "path" a string.
+Booleans and numeric strings are no numbers.  Anything else is a UsageError
+(exit 2) naming section and key, e.g. ``game.alpha must be float, got '10'``.
+
 Schema (all keys optional):
 
     {
@@ -29,9 +36,12 @@ Schema (all keys optional):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from types import NoneType, UnionType
+from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from ..errors import UsageError
 from ..game_model import DEFAULT_ENUMERATION_CAP, DeviceProfile, GameParams, random_devices
@@ -86,8 +96,7 @@ class ExperimentConfig:
         DeviceProfile(id=0, data_size=500.0), DeviceProfile(id=1, data_size=500.0))
     game: GameParams = field(default_factory=GameParams)
     server: ServerMechParams = field(default_factory=ServerMechParams)
-    device_mech: DeviceMechParams | tuple[DeviceMechParams, ...] = field(
-        default_factory=DeviceMechParams)
+    device_mech: tuple[DeviceMechParams, ...] = (DeviceMechParams(),)
     solver: SolverConfig = field(default_factory=SolverConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -108,11 +117,9 @@ class ExperimentConfig:
     def mech_for(self, position: int) -> DeviceMechParams:
         """Mechanism parameters of the device at a list position.
 
-        A list of one entry is shared by every device, as a single spec is:
-        that is how the config echo writes a shared spec.
+        A list of one entry is shared by every device: that is how a single
+        "mech.device" object is read and how the config echo writes it.
         """
-        if isinstance(self.device_mech, DeviceMechParams):
-            return self.device_mech
         if len(self.device_mech) == 1:
             return self.device_mech[0]
         if position >= len(self.device_mech):
@@ -122,98 +129,96 @@ class ExperimentConfig:
         return self.device_mech[position]
 
 
-def _reject_unknown(section: Mapping[str, Any], allowed: Sequence[str], ctx: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _object(node: Any, ctx: str, allowed: Sequence[str]) -> None:
+    """Refuse ``node`` unless it is a JSON object holding only ``allowed`` keys."""
+    if not isinstance(node, Mapping):
+        raise UsageError(f"{ctx} must be an object, got {node!r}")
+    unknown = sorted(set(node) - set(allowed))
     if unknown:
         raise UsageError(f"unknown key(s) in {ctx}: {', '.join(unknown)} "
                          f"(allowed: {', '.join(sorted(allowed))})")
 
 
-def _field_names(cls) -> list[str]:
-    return [f.name for f in fields(cls)]
+def _typed(value: Any, hint: Any, name: str) -> Any:
+    """``value`` read as the type ``hint``, or a UsageError naming ``name``."""
+    wanted = hint
+    if get_origin(hint) is UnionType:  # X | None
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not NoneType)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is float and number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if hint is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if hint is str and isinstance(value, str):
+        return value
+    if get_origin(hint) is tuple and isinstance(value, list):
+        return tuple(_typed(v, get_args(hint)[0], f"{name}[{k}]") for k, v in enumerate(value))
+    raise UsageError(f"{name} must be {wanted.__name__ if isinstance(wanted, type) else wanted}, "
+                     f"got {value!r}")
 
 
-def _dataclass_from(section: Mapping[str, Any], cls, ctx: str):
-    _reject_unknown(section, _field_names(cls), ctx)
-    return cls(**section)
+@cache
+def _typed_fields(cls) -> tuple:
+    """Each field of ``cls`` with its type.  Resolving the annotations costs
+    several times the rest of reading a section, so it is done once per class."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def _section(node: Any, cls, ctx: str, **given):
+    """One config section as a ``cls``, each value typed by its field.
+
+    ``given`` holds the caller's defaults (a device's position is its id).
+    A field whose type is a dataclass reads that class's fields flat from
+    the same object, as the tolerances sit in "solver".
+    """
+    flat = {f.name: hint for f, hint in _typed_fields(cls) if is_dataclass(hint)}
+    own = [(f, hint) for f, hint in _typed_fields(cls) if f.name not in flat]
+    nested = [g.name for t in flat.values() for g in fields(t)]
+    _object(node, ctx, [f.name for f, _ in own] + nested)
+    kwargs = {name: _section({g.name: node[g.name] for g in fields(t) if g.name in node}, t, ctx)
+              for name, t in flat.items()}
+    for f, hint in own:
+        if f.name in node:
+            kwargs[f.name] = _typed(node[f.name], hint, f"{ctx}.{f.name}")
+        elif f.name in given:
+            kwargs[f.name] = given[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise UsageError(f"{ctx} is missing {f.name}")
+    return cls(**kwargs)
 
 
 def _parse_devices(node: Any):
+    if isinstance(node, list):
+        return tuple(_section(entry, DeviceProfile, f"devices[{k}]", id=k)
+                     for k, entry in enumerate(node))
     if isinstance(node, Mapping):
-        _reject_unknown(node, _field_names(DeviceGenSpec), "devices")
-        kwargs = dict(node)
-        if "size_choices" in kwargs:
-            kwargs["size_choices"] = tuple(float(x) for x in kwargs["size_choices"])
-        if kwargs.get("probabilities") is not None:
-            kwargs["probabilities"] = tuple(float(x) for x in kwargs["probabilities"])
-        return DeviceGenSpec(**kwargs)
-    if isinstance(node, Sequence) and not isinstance(node, (str, bytes)):
-        out = []
-        for k, entry in enumerate(node):
-            if not isinstance(entry, Mapping):
-                raise UsageError(f"devices[{k}] must be an object")
-            _reject_unknown(entry, _field_names(DeviceProfile), f"devices[{k}]")
-            if "data_size" not in entry:
-                raise UsageError(f"devices[{k}] is missing data_size")
-            out.append(DeviceProfile(id=int(entry.get("id", k)), **{
-                key: float(val) for key, val in entry.items() if key != "id"}))
-        return tuple(out)
+        return _section(node, DeviceGenSpec, "devices")
     raise UsageError("devices must be a list of device objects or a generator spec")
 
 
-def _parse_mech(node: Mapping[str, Any]):
-    _reject_unknown(node, ["server", "device"], "mech")
-    server = _dataclass_from(node.get("server", {}), ServerMechParams, "mech.server")
-    dev_node = node.get("device", {})
-    if isinstance(dev_node, Mapping):
-        device = _dataclass_from(dev_node, DeviceMechParams, "mech.device")
-    elif isinstance(dev_node, Sequence):
-        device = tuple(_dataclass_from(d, DeviceMechParams, f"mech.device[{k}]")
-                       for k, d in enumerate(dev_node))
-    else:
-        raise UsageError("mech.device must be an object or a list of objects")
-    return server, device
-
-
-def _given_fields(node: Mapping[str, Any], cls) -> dict[str, Any]:
-    """The keys of ``node`` that name fields of ``cls``, each number cast to
-    the type of its field's default; absent keys keep the defaults."""
-    out = {}
-    for f in fields(cls):
-        if f.name in node:
-            value = node[f.name]
-            out[f.name] = type(f.default)(value) if isinstance(f.default, (int, float)) \
-                else value
-    return out
-
-
-def _parse_solver(node: Mapping[str, Any]) -> SolverConfig:
-    """The tolerances sit flat in "solver", beside the solver's own fields."""
-    _reject_unknown(node, [name for name in _field_names(SolverConfig) if name != "tolerances"]
-                    + _field_names(Tolerances), "solver")
-    return SolverConfig(**_given_fields(node, SolverConfig),
-                        tolerances=Tolerances(**_given_fields(node, Tolerances)))
-
-
 def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
-    """Validate a parsed JSON document into an ExperimentConfig."""
-    if not isinstance(doc, Mapping):
-        raise UsageError("config root must be a JSON object")
-    _reject_unknown(doc, ["devices", "game", "mech", "solver", "output"], "config")
-    kwargs: dict[str, Any] = {}
-    if "devices" in doc:
-        kwargs["devices"] = _parse_devices(doc["devices"])
-    if "game" in doc:
-        kwargs["game"] = _dataclass_from(doc["game"], GameParams, "game")
-    if "mech" in doc:
-        kwargs["server"], kwargs["device_mech"] = _parse_mech(doc["mech"])
-    if "solver" in doc:
-        kwargs["solver"] = _parse_solver(doc["solver"])
-    if "output" in doc:
-        _reject_unknown(doc["output"], _field_names(OutputConfig), "output")
-        kwargs["output"] = OutputConfig(path=doc["output"].get("path"),
-                                        seed=int(doc["output"].get("seed", 0)))
-    return ExperimentConfig(**kwargs)
+    """Validate a parsed JSON document into an ExperimentConfig; an absent
+    section reads as an empty one, which is its dataclass's defaults."""
+    _object(doc, "config", ["devices", "game", "mech", "solver", "output"])
+    mech = doc.get("mech", {})
+    _object(mech, "mech", ["server", "device"])
+    device = mech.get("device", {})
+    if isinstance(device, list):
+        device_mech = tuple(_section(d, DeviceMechParams, f"mech.device[{k}]")
+                            for k, d in enumerate(device))
+    else:
+        device_mech = (_section(device, DeviceMechParams, "mech.device"),)
+    devices = {"devices": _parse_devices(doc["devices"])} if "devices" in doc else {}
+    return ExperimentConfig(
+        **devices,
+        game=_section(doc.get("game", {}), GameParams, "game"),
+        server=_section(mech.get("server", {}), ServerMechParams, "mech.server"),
+        device_mech=device_mech,
+        solver=_section(doc.get("solver", {}), SolverConfig, "solver"),
+        output=_section(doc.get("output", {}), OutputConfig, "output"))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -239,14 +244,12 @@ def effective_config_json(cfg: ExperimentConfig, seed: int) -> str:
     """
     devices = (vars(cfg.devices) if isinstance(cfg.devices, DeviceGenSpec)
                else [vars(d) for d in cfg.devices])
-    mechs = (cfg.device_mech,) if isinstance(cfg.device_mech, DeviceMechParams) \
-        else cfg.device_mech
     solver = dict(vars(cfg.solver))
     solver.update(vars(solver.pop("tolerances")))
     doc = {
         "devices": devices,
         "game": vars(cfg.game),
-        "mech": {"server": vars(cfg.server), "device": [vars(m) for m in mechs]},
+        "mech": {"server": vars(cfg.server), "device": [vars(m) for m in cfg.device_mech]},
         "solver": solver,
         "seed": seed,
     }

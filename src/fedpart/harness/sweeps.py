@@ -36,7 +36,7 @@ import numpy as np
 from .. import game_model as gm
 from ..decomposition import SolvedGames, solve_decomposed
 from ..errors import UsageError
-from ..mechanism import DeviceMechParams, closed_form_point
+from ..mechanism import closed_form_point
 from ..rng import subset_seed
 from .config import DeviceGenSpec, ExperimentConfig, effective_config_json
 from .protocol import solve_round
@@ -78,10 +78,7 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> tuple[ExperimentConf
     """Return the config with the axis applied, plus a pending s1 override."""
     if axis in ("theta", "a_d", "b_d"):
         new0 = replace(cfg.mech_for(0), **{axis: float(value)})
-        if isinstance(cfg.device_mech, DeviceMechParams):
-            return replace(cfg, device_mech=new0), None
-        rest = tuple(cfg.device_mech)[1:]
-        return replace(cfg, device_mech=(new0,) + rest), None
+        return replace(cfg, device_mech=(new0,) + cfg.device_mech[1:]), None
     if axis in ("a_e", "b_e", "sigma", "rho", "s0", "r0"):
         return replace(cfg, server=replace(cfg.server, **{axis: float(value)})), None
     if axis == "s1":
@@ -215,7 +212,7 @@ def compare_solvers(cfg: ExperimentConfig, n_list: Sequence[int], xi: int = 2,
         for k, (n, devices) in enumerate(zip(n_list, games[rep])):
             dec = solve_decomposed(devices, cfg.game, xi=min(xi, n), seed=seeds[rep][k],
                                    tol=tol, enumeration_cap=cap, solved=solved)
-            improved[:, rep, k] = dec.reported_profit, dec.timing.total_seconds
+            improved[:, rep, k] = dec.reported_profit, dec.seconds
     direct = np.empty((2, reps, len(n_list)))
     for rep in range(reps):
         for k, devices in enumerate(games[rep]):

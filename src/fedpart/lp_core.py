@@ -132,7 +132,7 @@ class LpSolution:
 class FeasibilityReport:
     ok: bool
     max_violation: float
-    row_residuals: np.ndarray
+    row_values: np.ndarray  # rows @ x
     bound_violations: np.ndarray
     worst_label: str = ""
 
@@ -159,7 +159,7 @@ def check_feasible(lp: LinearProgram, x: Sequence[float],
         max_v = float(bound[j])
         worst = f"x[{j}] >= 0"
     return FeasibilityReport(ok=max_v <= tol.feas_tol, max_violation=max_v,
-                             row_residuals=resid, bound_violations=bound,
+                             row_values=ax, bound_violations=bound,
                              worst_label=worst)
 
 
@@ -411,15 +411,16 @@ def solve(lp: LinearProgram, tol: Tolerances | None = None) -> LpSolution:
     # the deviation rows are '>=' rows of a maximization, so they need y <= 0
     dual_v = float(max(rc.max(initial=0.0), y[:-1].max(initial=0.0)))
     rhs = lp.rhs
-    slack = lp.rows @ x_struct - rhs
+    slack = report.row_values - rhs
     cs_v = float(np.abs(y * slack).max(initial=0.0))
     cs_v = max(cs_v, float(np.abs(x_struct * rc).max(initial=0.0)))
     gap = abs(objective - float(y @ rhs))
 
     if primal_v > tol.feas_tol or dual_v > tol.cs_tol or cs_v > tol.cs_tol or gap > tol.gap_tol:
+        worst = f" (worst: {report.worst_label})" if primal_v > tol.feas_tol else ""
         raise NumericalError(
             "optimality certificate failed: "
-            f"primal={primal_v:.3e} dual={dual_v:.3e} cs={cs_v:.3e} gap={gap:.3e}")
+            f"primal={primal_v:.3e}{worst} dual={dual_v:.3e} cs={cs_v:.3e} gap={gap:.3e}")
 
     return LpSolution(x_struct, objective, y,
                       iterations=cap - budget[0],

@@ -64,7 +64,7 @@ def test_two_singletons_solo_profitable():
 def test_unpacks_and_timing():
     dec = solve_decomposed(devices_of(500, 500, 500), gm.GameParams(), xi=2, seed=3)
     assert len(dec.subset_solutions) == len(dec.subset_objectives) == 2
-    assert dec.timing.total_seconds > 0
+    assert dec.seconds > 0
     assert dec.partition_spec.xi == 2
 
 

@@ -10,6 +10,7 @@ from fedpart import equilibrium, game_model as gm
 from fedpart.equilibrium import (
     CeCheck,
     CorrelatedDistribution,
+    _check_ce,
     build_gpm,
     marginals,
     sample_decision,
@@ -252,5 +253,8 @@ def test_check_ce_blockwise_matches_masked_formula(block, monkeypatch):
         for _ in range(3):
             p = rng.random(2 ** len(sizes)) ** 4
             dists.append(CorrelatedDistribution(p / p.sum(), len(sizes)))
+        joined = build_gpm(devs).lp.rows[1:-1:2]  # what solve_gpm checks against
         for dist in dists:
-            assert verify_ce(dist, devs, game) == _masked_verify_ce(dist, devs, game)
+            got = verify_ce(dist, devs, game)
+            assert got == _masked_verify_ce(dist, devs, game)
+            assert _check_ce(dist.probabilities, joined) == got

@@ -70,6 +70,52 @@ def test_unknown_keys_rejected_everywhere():
             parse_config(doc)
 
 
+# Each malformed config, with the text (its section and key) its UsageError must hold.
+MISTYPED = [
+    ({"game": {"alpha": "10"}}, "game.alpha must be float, got '10'"),
+    ({"mech": {"server": {"rho": "x"}}}, "mech.server.rho must be float"),
+    ({"devices": [{"data_size": "abc"}]}, "devices[0].data_size must be float"),
+    ({"devices": [{"data_size": 500, "id": "a"}]}, "devices[0].id must be int"),
+    ({"solver": {"xi": "two"}}, "solver.xi must be int"),
+    ({"output": {"seed": "s"}}, "output.seed must be int"),
+    ({"devices": {"count": "4"}}, "devices.count must be int"),
+    ({"devices": {"count": 2.5}}, "devices.count must be int, got 2.5"),
+    ({"game": []}, "game must be an object"),
+    ({"mech": 5}, "mech must be an object"),
+    ({"solver": [1]}, "solver must be an object"),
+    ({"output": []}, "output must be an object"),
+    ({"mech": {"device": [3]}}, "mech.device[0] must be an object"),
+    ({"solver": {"xi": 2.7}}, "solver.xi must be int, got 2.7"),
+    ({"solver": {"feas_tol": True}}, "solver.feas_tol must be float, got True"),
+    ({"game": {"delta": 10**400}}, "game.delta must be float, got 1000"),
+    ({"mech": {"server": {"sigma": float("nan")}}}, "mech.server.sigma must be float, got nan"),
+    ({"devices": {"count": 2, "size_choices": [50, "500"]}},
+     "devices.size_choices[1] must be float"),
+    ({"output": {"path": 5}}, "output.path must be str | None, got 5"),
+    ({"devices": [{"id": 0}]}, "devices[0] is missing data_size"),
+    ({"solver": {"tolerances": {}}}, "unknown key(s) in solver: tolerances"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MISTYPED, ids=[m for _, m in MISTYPED])
+def test_mistyped_values_are_usage_errors(doc, message):
+    with pytest.raises(UsageError) as err:
+        parse_config(doc)
+    assert message in str(err.value)
+
+
+def test_values_read_as_their_field_types():
+    cfg = parse_config({"devices": {"count": 3.0, "size_choices": [50, 500], "seed": None},
+                        "solver": {"xi": 3.0, "feas_tol": 0}, "output": {"path": None}})
+    assert (cfg.devices.count, cfg.devices.size_choices, cfg.solver.xi) == (3, (50.0, 500.0), 3)
+    assert type(cfg.devices.count) is int and type(cfg.solver.tolerances.feas_tol) is float
+    # an int and a float spelling of one value are one config, echoed alike
+    ints = parse_config({"game": {"alpha": 10}, "devices": [{"id": 0, "data_size": 500}]})
+    floats = parse_config({"game": {"alpha": 10.0}, "devices": [{"data_size": 500.0}]})
+    assert ints == floats
+    assert effective_config_json(ints, seed=0) == effective_config_json(floats, seed=0)
+
+
 def test_solver_validation():
     with pytest.raises(UsageError):
         parse_config({"solver": {"mode": "magic"}})
@@ -96,6 +142,7 @@ def test_device_list_and_genspec():
 
 def test_mech_assignment():
     single = parse_config({"mech": {"device": {"theta": 0.25}}})
+    assert single.device_mech == parse_config({"mech": {"device": [{"theta": 0.25}]}}).device_mech
     assert single.mech_for(0).theta == 0.25
     assert single.mech_for(1).theta == 0.25  # one spec covers every device
     per_dev = parse_config(
@@ -140,14 +187,8 @@ def test_effective_config_json_describes_its_config(cfg):
     doc["output"] = {"seed": doc.pop("seed")}
     again = parse_config(doc)
     assert again.output.seed == 7
-    assert (again.devices, again.game, again.server, again.solver) == \
-        (cfg.devices, cfg.game, cfg.server, cfg.solver)
-    # "mech.device" is always a list; a spec shared by every device echoes as
-    # its one entry
-    shared = not isinstance(cfg.device_mech, tuple)
-    assert len(again.device_mech) == (1 if shared else len(cfg.device_mech))
-    for k in range(len(cfg.realize_devices(7))):
-        assert again.mech_for(0 if shared else k) == cfg.mech_for(k)
+    assert (again.devices, again.game, again.server, again.device_mech, again.solver) == \
+        (cfg.devices, cfg.game, cfg.server, cfg.device_mech, cfg.solver)
 
 
 def _rerunnable(config_json):
@@ -677,6 +718,11 @@ def test_cli_exit_codes(cfg_file, tmp_path):
     assert run_cli("solve-gpm", str(cfg_file), "--tol", "1e-300").returncode == 4
     usage = run_cli("solve-gpm", str(tmp_path / "nope.json"))
     assert usage.stderr.startswith("error:")
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps({"game": {"alpha": "10"}}), encoding="utf-8")
+    typed = run_cli("solve-gpm", str(mistyped))
+    assert typed.returncode == 2
+    assert typed.stderr == "error: game.alpha must be float, got '10'\n"
 
 
 def test_cli_timing_flag_adds_columns(cfg_file):

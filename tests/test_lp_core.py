@@ -145,6 +145,7 @@ def test_check_feasible_flags_violations():
     assert "row[1] (= 1)" in off.worst_label
     neg = check_feasible(lp, [1.5, -0.5])
     assert not neg.ok and neg.bound_violations[1] == pytest.approx(0.5)
+    assert off.row_values.tolist() == pytest.approx([-0.05, 1.15])
 
 
 def test_validation_errors():
@@ -178,6 +179,17 @@ def test_tight_tolerance_raises_numerical():
     solve(lp)
     with pytest.raises(NumericalError):
         solve(lp, tol=Tolerances(feas_tol=1e-300, cs_tol=1e-300, gap_tol=1e-300))
+
+
+def test_primal_failure_names_its_worst_constraint():
+    # The normalization row misses 1 by 1.1e-15 on this game, and nothing
+    # else breaks the default tolerances; a primal failure names its worst
+    # constraint, another failure names none.
+    lp = ce_program(np.random.default_rng(0).normal(size=(8, 3)))
+    with pytest.raises(NumericalError, match=r"primal=1\.110e-15 \(worst: row\[6\] \(= 1\)\) "):
+        solve(lp, tol=Tolerances(feas_tol=1e-300))
+    with pytest.raises(NumericalError, match=r"primal=1\.110e-15 dual="):
+        solve(lp, tol=Tolerances(cs_tol=1e-300))
 
 
 def test_impossible_ends_raise_numerical(monkeypatch):
