@@ -110,25 +110,34 @@ def pool_payment(totals, game: GameParams) -> np.ndarray:
     return np.where(has_data, game.alpha * (1.0 - err), 0.0)
 
 
+def _joiner_profits(totals: np.ndarray, joins: np.ndarray,
+                    devices: Sequence[DeviceProfile], game: GameParams) -> np.ndarray:
+    """Device profits at each outcome k, from its pooled data ``totals[k]``
+    and who joins, ``joins[k]``: a joiner's data share of the pool less its
+    cost (a size-0 device's share is +0.0), and +0.0 for one that sits out.
+    """
+    pool = pool_payment(totals, game)
+    size = np.array([d.data_size for d in devices])
+    out = np.divide(size, (game.delta + totals)[:, None])
+    out *= pool[:, None]
+    out[:, size == 0] = 0.0
+    out -= [d.beta * d.data_size + d.gamma * d.channel_cost for d in devices]
+    # the product is -0.0 at a negative profit, and adding +0.0 turns every
+    # zero to +0.0 and changes nothing else
+    out *= joins
+    out += 0.0
+    return out
+
+
 def device_profits(p: Sequence[int], devices: Sequence[DeviceProfile],
                    game: GameParams) -> np.ndarray:
     """Every device's profit at outcome ``p``: a participant's data share of
     the pool less its cost; 0 for a device that sits out.
-
-    The arithmetic matches `profit_tensor` operation for operation, so row
-    ``decision_index(p)`` of the tensor holds the same floats.
     """
-    if len(p) != len(devices):
-        raise UsageError("decision vector and device list lengths differ")
+    p = validate_decision(p, len(devices))
     # summed in device order, as the tensor's doubling sums them
     total = sum(d.data_size for pi, d in zip(p, devices) if pi)
-    pool = pool_payment(total, game)
-    out = np.zeros(len(devices))
-    for i, (pi, d) in enumerate(zip(p, devices)):
-        if pi:
-            share = d.data_size / (game.delta + total) * pool if d.data_size > 0 else 0.0
-            out[i] = share - (d.beta * d.data_size + d.gamma * d.channel_cost)
-    return out
+    return _joiner_profits(np.array([total]), np.array([p], dtype=bool), devices, game)[0]
 
 
 def total_profit(p: Sequence[int], devices: Sequence[DeviceProfile],
@@ -170,22 +179,10 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
     for i, size in enumerate(sizes):
         h = 1 << i
         np.add(totals[:h], size, out=totals[h:2 * h])
-    pool = pool_payment(totals, game)
-    denom = game.delta + totals
-
-    # a participant's data share of the pool less its cost; a size-0
-    # device's share is +0.0
-    size = np.array(sizes)
-    out = np.divide(size, denom[:, None])
-    out *= pool[:, None]
-    out[:, size == 0] = 0.0
-    out -= [d.beta * d.data_size + d.gamma * d.channel_cost for d in devices]
-    # zero where the device sits out; the product is -0.0 at a negative
-    # profit, and adding +0.0 turns every zero to +0.0 and changes nothing else
-    outcomes = np.arange(1 << n, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    out *= np.unpackbits(outcomes, axis=1, count=n, bitorder="little").view(bool)
-    out += 0.0
-    return out
+    # row k of the mask holds the bits of k, device 0 first
+    joins = np.unpackbits(np.arange(1 << n, dtype="<u8").view(np.uint8).reshape(-1, 8),
+                          axis=1, count=n, bitorder="little").view(bool)
+    return _joiner_profits(totals, joins, devices, game)
 
 
 def random_devices(n: int, seed: int,

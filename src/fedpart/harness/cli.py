@@ -34,7 +34,7 @@ from ..errors import CapacityError, NumericalError, UsageError
 from ..lp_core import Tolerances
 from ..mechanism import closed_form_point, ic_check
 from .config import ExperimentConfig, effective_config_json, load_config
-from .protocol import run_protocol, solve_round
+from .protocol import round_devices, run_protocol, solve_round
 from .sweeps import compare_solvers, render_csv, sweep
 
 OUT_DIR_ENV = "FEDPART_OUT_DIR"
@@ -136,7 +136,7 @@ def _cmd_solve(args, decomposed: bool) -> None:
     else:  # direct whatever the config's mode; the echo keeps the config as given
         cfg = replace(cfg, solver=replace(cfg.solver, mode="direct"))
     seed = cfg.output.seed
-    devices = cfg.realize_devices(seed)
+    devices = round_devices(cfg, seed)
     t0 = time.perf_counter()
     r = solve_round(devices, cfg, seed)
     wall = time.perf_counter() - t0
@@ -199,7 +199,7 @@ def _cmd_simulate(args) -> None:
                    e.device_id if e.device_id is not None else "",
                    e.summary, json.dumps(e.payload, sort_keys=True,
                                          separators=(",", ":"))]
-                  for e in result.trace.events]
+                  for e in result.trace]
         trace_args = argparse.Namespace(out=args.trace, timing=args.timing)
         _emit(trace_args, render_csv(t_header, t_rows), "simulate-trace.csv")
 

@@ -25,7 +25,7 @@ from .. import game_model as gm
 from ..decomposition import SolvedGames, solve_decomposed
 from ..equilibrium import marginals, threshold_decision
 from ..mechanism import accepts, best_response, infer_theta, optimal_rule
-from .config import ExperimentConfig
+from .config import DeviceGenSpec, ExperimentConfig, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,37 @@ class RoundSolution:
     subset_objectives: tuple[float, ...]
 
 
-def solve_round(devices: Sequence[gm.DeviceProfile], cfg: ExperimentConfig,
-                seed: int, solved: SolvedGames | None = None) -> RoundSolution:
-    """Solve the game over ``devices`` as ``cfg.solver`` says.
+def round_split(solver: SolverConfig, n: int) -> tuple[bool, int]:
+    """Whether a round of ``n`` devices is decomposed, and its subset count.
 
     The game is split into ``min(xi, n)`` subsets when the mode is
     "decomposed" and there are at least two devices; otherwise it is solved
-    directly, which is the decomposition into one subset.  The games are
-    solved through ``solved``, if given (see `solve_decomposed`).
+    directly, which is the decomposition into one subset.
     """
-    n = len(devices)
-    decomposed = cfg.solver.mode == "decomposed" and n > 1
-    xi = min(cfg.solver.xi, n) if decomposed else 1
+    decomposed = solver.mode == "decomposed" and n > 1
+    return decomposed, min(solver.xi, n) if decomposed else 1
+
+
+def round_devices(cfg: ExperimentConfig, seed: int) -> list[gm.DeviceProfile]:
+    """``cfg.realize_devices(seed)`` for a round solved by `solve_round`.
+
+    A generated round whose largest subset would exceed the enumeration cap
+    raises `CapacityError` before any device is drawn.
+    """
+    if isinstance(cfg.devices, DeviceGenSpec):
+        count = cfg.devices.count
+        _, xi = round_split(cfg.solver, count)
+        gm.check_enumeration_cap(-(-count // xi), cfg.solver.enumeration_cap)
+    return cfg.realize_devices(seed)
+
+
+def solve_round(devices: Sequence[gm.DeviceProfile], cfg: ExperimentConfig,
+                seed: int, solved: SolvedGames | None = None) -> RoundSolution:
+    """Solve the game over ``devices`` as ``cfg.solver`` says (see `round_split`).
+
+    The games are solved through ``solved``, if given (see `solve_decomposed`).
+    """
+    decomposed, xi = round_split(cfg.solver, len(devices))
     dec = solve_decomposed(devices, cfg.game, xi=xi, seed=seed,
                            tol=cfg.solver.tolerances,
                            enumeration_cap=cfg.solver.enumeration_cap, solved=solved)
@@ -78,16 +97,8 @@ class TraceEvent:
 
 
 @dataclass(frozen=True)
-class ProtocolTrace:
-    events: tuple[TraceEvent, ...]
-
-    def for_device(self, device_id: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.device_id == device_id]
-
-
-@dataclass(frozen=True)
 class ProtocolResult:
-    trace: ProtocolTrace
+    trace: tuple[TraceEvent, ...]      # in event order
     decision: gm.Decision
     total_profit: float
     accepted_ids: tuple[int, ...]
@@ -133,7 +144,7 @@ def run_protocol(cfg: ExperimentConfig, seed: int | None = None) -> ProtocolResu
         if devices:  # n=0 keeps a genuinely empty trace
             emit(3, "server", None, "no reports; round closed", accepted=0)
         return ProtocolResult(
-            trace=ProtocolTrace(tuple(events)), decision=(0,) * len(devices),
+            trace=tuple(events), decision=(0,) * len(devices),
             total_profit=0.0, accepted_ids=(), reported_sizes=(),
             objective=None, marginals=(), threshold=(),
             seconds=time.perf_counter() - t_start)
@@ -168,7 +179,7 @@ def run_protocol(cfg: ExperimentConfig, seed: int | None = None) -> ProtocolResu
              participate=joint[k])
 
     return ProtocolResult(
-        trace=ProtocolTrace(tuple(events)), decision=tuple(decision),
+        trace=tuple(events), decision=tuple(decision),
         total_profit=solved.profit, accepted_ids=tuple(devices[p].id for p in accepted),
         reported_sizes=tuple(reported), objective=solved.objective,
         marginals=solved.marginals, threshold=solved.threshold,

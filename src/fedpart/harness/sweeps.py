@@ -39,7 +39,7 @@ from ..errors import UsageError
 from ..mechanism import closed_form_point
 from ..rng import subset_seed
 from .config import DeviceGenSpec, ExperimentConfig, effective_config_json
-from .protocol import solve_round
+from .protocol import round_devices, solve_round
 
 MECH_AXES = ("theta", "a_d", "b_d", "a_e", "b_e", "sigma", "rho", "s0", "r0")
 GAME_AXES = ("s1", "n", "xi")
@@ -105,7 +105,7 @@ SWEEP_HEADER = [
 
 def _evaluate_point(cfg: ExperimentConfig, s1_override: float | None,
                     seed: int, solved: SolvedGames) -> dict[str, Any]:
-    devices = cfg.realize_devices(seed)
+    devices = round_devices(cfg, seed)
     if s1_override is not None:
         if not devices:
             raise UsageError("axis 's1' needs at least one device")

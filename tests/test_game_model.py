@@ -149,6 +149,13 @@ def test_validation():
         gm.validate_decision((0,), 2)
 
 
+@pytest.mark.parametrize("decision", [(0, 2), (1,), (1, 1, 0)])
+def test_pricing_refuses_a_malformed_decision(decision):
+    devs = [gm.DeviceProfile(id=0, data_size=500.0), gm.DeviceProfile(id=1, data_size=50.0)]
+    with pytest.raises(UsageError):
+        gm.total_profit(decision, devs, gm.GameParams())
+
+
 def test_random_devices_stream_golden():
     # Pins the SplitMix64 size stream; regenerating with the same seed must
     # reproduce these draws exactly or every golden CSV in the suite breaks.

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +37,8 @@ from fedpart.harness.sweeps import (
     sweep,
 )
 from fedpart.rng import subset_seed
+
+REPO = Path(__file__).resolve().parents[1]
 
 TWO_DEV_DOC = {
     "devices": [{"id": 0, "data_size": 500.0}, {"id": 1, "data_size": 500.0}],
@@ -244,10 +249,10 @@ def test_protocol_two_devices_golden():
 def test_protocol_trace_ordering_per_device():
     res = run_protocol(parse_config(TWO_DEV_DOC), seed=0)
     for dev_id in (0, 1):
-        steps = [e.step for e in res.trace.for_device(dev_id)]
+        steps = [e.step for e in res.trace if e.device_id == dev_id]
         assert steps == sorted(steps)
         assert all(a < b for a, b in zip(steps, steps[1:]))
-    orders = [e.order for e in res.trace.events]
+    orders = [e.order for e in res.trace]
     assert orders == list(range(len(orders)))
 
 
@@ -259,13 +264,13 @@ def test_protocol_silent_device():
     res = run_protocol(parse_config(doc), seed=0)
     assert res.accepted_ids == (0,)
     assert res.decision[1] == 0
-    silent_steps = [e.step for e in res.trace.for_device(1)]
+    silent_steps = [e.step for e in res.trace if e.device_id == 1]
     assert silent_steps == [1]  # offer received, nothing after
 
 
 def test_protocol_zero_devices():
     res = run_protocol(parse_config({"devices": []}), seed=0)
-    assert res.trace.events == ()
+    assert res.trace == ()
     assert res.decision == ()
     assert res.total_profit == 0.0
 
@@ -294,7 +299,7 @@ MIXED_SUBSETS_DOC = {
 
 
 def _step3(res):
-    (event,) = [e for e in res.trace.events if e.step == 3]
+    (event,) = [e for e in res.trace if e.step == 3]
     return event
 
 
@@ -387,6 +392,19 @@ def test_decomposed_solves_keep_the_enumeration_cap(cap, code, tmp_path):
         "solver": {"mode": "decomposed", "xi": 2, "enumeration_cap": cap}}), encoding="utf-8")
     for cmd in ("solve-sgpm", "simulate"):
         assert cli_main([cmd, str(cfg_path), "--out", str(tmp_path / f"{cmd}.csv")]) == code
+
+
+def test_oversized_generated_round_is_refused_before_drawing(tmp_path, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("devices drawn before the enumeration cap was checked")
+
+    monkeypatch.setattr("fedpart.harness.config.random_devices", no_draw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"devices": {"count": 100000000}}), encoding="utf-8")
+    assert cli_main(["solve-gpm", str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 3
+    assert cli_main(["mechanism", str(REPO / "configs" / "generated_decomposed.json"),
+                     "--sweep", "n", "--values", "100000000",
+                     "--out", str(tmp_path / "b.csv")]) == 3
 
 
 # ---------------------------------------------------------------- sweeps ---
@@ -606,7 +624,7 @@ def test_render_csv_row_width_checked():
 
 # ------------------------------------------------------------------- cli ---
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SRC_DIR = REPO / "src"
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -730,3 +748,24 @@ def test_cli_timing_flag_adds_columns(cfg_file):
     with_t = run_cli("solve-gpm", str(cfg_file), "--timing")
     assert "wall_clock_s" not in without.stdout
     assert "wall_clock_s" in with_t.stdout
+
+
+def _readme_commands():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("fedpart ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_run(line, tmp_path, monkeypatch):
+    for name in ("configs", "data"):
+        shutil.copytree(REPO / name, tmp_path / name)
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FEDPART_OUT_DIR", raising=False)
+    try:
+        code = cli_main(shlex.split(line)[1:])
+    except SystemExit as exc:  # argparse refuses the line
+        code = exc.code
+    assert code == 0
