@@ -3,8 +3,9 @@
 
 A change that must not move any solve (a faster build, another pricing
 layout, a memo in front of the solver) should print the same digest before
-and after.  For every game the digest covers the LP rows, the objective
-vector and the profit tensor that `build_gpm` makes, the primal, dual,
+and after.  For every game the digest covers the LP rows and the objective
+vector that `build_gpm` makes, the profit tensor that `profit_tensor`
+returns (the transpose of the `joiner_rows` kernel), the primal, dual,
 objective (as float hex) and pivot count that `solve_gpm` returns, and the
 `_check_ce` result on that primal.  A solve that raises contributes its
 error type and message instead.

@@ -31,6 +31,7 @@ from .game_model import (
     DeviceProfile,
     GameParams,
     device_profits,
+    joiner_rows,
     pool_payment,
     profit_tensor,
     random_devices,
@@ -109,6 +110,7 @@ __all__ = [
     "fit_power_law",
     "ic_check",
     "infer_theta",
+    "joiner_rows",
     "load_config",
     "marginals",
     "max_device_utility",

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import game_model as gm
 from .equilibrium import GpmSolution, sample_decision, solve_gpm
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .lp_core import Tolerances
 from .rng import subset_seed
 
@@ -108,6 +108,20 @@ def partition(devices: Sequence[gm.DeviceProfile], xi: int) -> PartitionSpec:
     return PartitionSpec(xi=xi, assignment=tuple(assignment))
 
 
+def check_subset_cap(n: int, xi: int, cap: int = gm.DEFAULT_ENUMERATION_CAP) -> None:
+    """Refuse a split of ``n`` devices into ``xi`` subsets (see `partition`)
+    whose largest subset exceeds the enumeration cap.  With xi > 1 the
+    message names both the subset size and the n that was split.
+    """
+    if xi == 1:
+        gm.check_enumeration_cap(n, cap)
+        return
+    largest = -(-n // xi)
+    if largest > cap:
+        raise CapacityError(f"subset of {largest} devices exceeds enumeration cap {cap} "
+                            f"(2**n outcomes): n={n} split into xi={xi} subsets")
+
+
 @dataclass(frozen=True)
 class DecomposedSolution:
     decision: gm.Decision
@@ -138,6 +152,7 @@ def solve_decomposed(devices: Sequence[gm.DeviceProfile],
     if not devices:
         raise UsageError("need at least one device")
     spec = partition(devices, xi)
+    check_subset_cap(len(devices), xi, enumeration_cap)
     solved = solved if solved is not None else SolvedGames()
 
     solutions, seconds = [], 0.0

@@ -33,6 +33,7 @@ from .rng import SplitMix64
 
 CE_TOL = 1e-7
 _CE_BLOCK = 1 << 17  # products per block of devices in `_check_ce`
+_C_BLOCK = 1 << 13  # outcomes per block of the objective's sum in `build_gpm`
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def _check_ce(probabilities: np.ndarray, gains: np.ndarray,
               tol: float = CE_TOL) -> CeCheck:
     """Worst conditional deviation constraint of a distribution, given each
     device's joining profit J: one row per device over the outcomes, +0.0
-    wherever it sits out (the LP's odd rows, or the profit tensor's columns).
+    wherever it sits out (the LP's odd rows, or `gm.joiner_rows`).
 
     Device i's gain is J at the outcomes where it joins (q = 1) and 0.0 - J
     at the flipped outcome where it sits out (q = 0).  So row 2i+q of
@@ -136,7 +137,7 @@ def verify_ce(dist: CorrelatedDistribution, devices: Sequence[gm.DeviceProfile],
     """
     if dist.num_devices != len(devices):
         raise UsageError("distribution and device list disagree on n")
-    return _check_ce(dist.probabilities, gm.profit_tensor(devices, params).T, tol)
+    return _check_ce(dist.probabilities, gm.joiner_rows(devices, params), tol)
 
 
 @dataclass(frozen=True)
@@ -158,25 +159,41 @@ class GpmProgram:
 def build_gpm(devices: Sequence[gm.DeviceProfile],
               params: gm.GameParams | None = None,
               enumeration_cap: int = gm.DEFAULT_ENUMERATION_CAP) -> GpmProgram:
-    """Assemble the profit-maximization LP over correlated equilibria."""
+    """Assemble the profit-maximization LP over correlated equilibria.
+
+    `gm.joiner_rows` writes the device profits into the LP's own rows, so
+    no other n x 2^n array is made.
+    """
     params = params or gm.GameParams()
     gm.validate_devices(devices)
     n = len(devices)
     if n < 1:
         raise UsageError("need at least one device")
-    profits = gm.profit_tensor(devices, params, cap=enumeration_cap)
+    gm.check_enumeration_cap(n, enumeration_cap)
     num = 2 ** n
     # Row 2i+q is device i's gain V_i(p) - V_i(flip_i(p)) where p_i = q, and
     # +0.0 elsewhere.  V_i is +0.0 wherever device i sits out, so row 2i+1 is
     # V_i itself and row 2i is 0.0 - V_i at the flipped outcome (np.subtract,
     # not unary minus, so that a zero gives +0.0).
     rows = np.empty((2 * n + 1, num))
-    rows[1::2] = profits.T
+    # The profits go to rows 0..n-1 first: the kernel writes a contiguous
+    # block faster than every other row.
+    profits = gm.joiner_rows(devices, params, enumeration_cap, out=rows[:n])
+    # c sums each outcome's n profits along a contiguous row, in numpy's
+    # row-major order: a sum down the rows rounds differently from n = 8 on
+    # and could move a Dantzig tie.  Blocks keep the transposed copy small.
+    c = np.empty(num)
+    for start in range(0, num, _C_BLOCK):
+        block = slice(start, start + _C_BLOCK)
+        c[block] = np.add.reduce(np.ascontiguousarray(profits[:, block].T), axis=1)
+    # row i moves to row 2i+1, last row first, so none is overwritten unmoved
+    for i in reversed(range(n)):
+        rows[2 * i + 1] = rows[i]
     for i in range(n):
         np.subtract(0.0, gm.flip_pairs(rows[2 * i + 1], i)[:, ::-1, :],
                     out=gm.flip_pairs(rows[2 * i], i))
     rows[-1] = 1.0
-    return GpmProgram(lp=LinearProgram(c=profits.sum(axis=1), rows=rows), num_devices=n,
+    return GpmProgram(lp=LinearProgram(c=c, rows=rows), num_devices=n,
                       raw_constraint_count=num + 4 * n + 1)
 
 

@@ -111,17 +111,21 @@ def pool_payment(totals, game: GameParams) -> np.ndarray:
 
 
 def _joiner_profits(totals: np.ndarray, joins: np.ndarray,
-                    devices: Sequence[DeviceProfile], game: GameParams) -> np.ndarray:
+                    devices: Sequence[DeviceProfile], game: GameParams,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Device profits at each outcome k, from its pooled data ``totals[k]``
-    and who joins, ``joins[k]``: a joiner's data share of the pool less its
-    cost (a size-0 device's share is +0.0), and +0.0 for one that sits out.
+    and who joins, ``joins[i, k]``: row i holds device i's profit, a joiner's
+    data share of the pool less its cost (a size-0 device's share is +0.0),
+    and +0.0 where it sits out.  Written into ``out`` when given.
     """
     pool = pool_payment(totals, game)
-    size = np.array([d.data_size for d in devices])
-    out = np.divide(size, (game.delta + totals)[:, None])
-    out *= pool[:, None]
-    out[:, size == 0] = 0.0
-    out -= [d.beta * d.data_size + d.gamma * d.channel_cost for d in devices]
+    sizes = [d.data_size for d in devices]
+    size = np.array(sizes)
+    out = np.divide(size[:, None], game.delta + totals, out=out)
+    out *= pool
+    if not all(sizes):  # the masked write costs more than the arithmetic on small games
+        out[size == 0] = 0.0
+    out -= np.array([d.beta * d.data_size + d.gamma * d.channel_cost for d in devices])[:, None]
     # the product is -0.0 at a negative profit, and adding +0.0 turns every
     # zero to +0.0 and changes nothing else
     out *= joins
@@ -135,9 +139,9 @@ def device_profits(p: Sequence[int], devices: Sequence[DeviceProfile],
     the pool less its cost; 0 for a device that sits out.
     """
     p = validate_decision(p, len(devices))
-    # summed in device order, as the tensor's doubling sums them
+    # summed in device order, as the doubling in `joiner_rows` sums them
     total = sum(d.data_size for pi, d in zip(p, devices) if pi)
-    return _joiner_profits(np.array([total]), np.array([p], dtype=bool), devices, game)[0]
+    return _joiner_profits(np.array([total]), np.array(p, dtype=bool)[:, None], devices, game)[:, 0]
 
 
 def total_profit(p: Sequence[int], devices: Sequence[DeviceProfile],
@@ -156,22 +160,21 @@ def flip_pairs(values: np.ndarray, i: int) -> np.ndarray:
     return values.reshape(-1, 2, 1 << i)
 
 
-def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """(2**n, n) table of device profits over every joint outcome.
+def joiner_rows(devices: Sequence[DeviceProfile], game: GameParams,
+                cap: int = DEFAULT_ENUMERATION_CAP,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """(n, 2**n) table of device profits over every joint outcome.
 
-    Row k equals ``device_profits(decision_from_index(k, n), ...)``.
-    Every column is computed at every outcome and then masked to the
-    outcomes where its device joins; besides the result this holds a few
-    per-outcome vectors and the (2**n, n) participation mask, one byte per
-    entry.
+    Row i is device i's profit at each outcome, +0.0 wherever it sits out;
+    column k equals ``device_profits(decision_from_index(k, n), ...)``.  The
+    table is written into ``out``, an (n, 2**n) float array, when given.
+    Every row is computed at every outcome and then masked to the outcomes
+    where its device joins; besides the result this holds a few per-outcome
+    vectors and the n x 2**n participation mask, one byte per entry.
     """
     validate_devices(devices)
     n = len(devices)
     check_enumeration_cap(n, cap)
-    if n == 0:
-        return np.zeros((1, 0))
-
     sizes = [d.data_size for d in devices]
     # pooled data per outcome by doubling: outcomes [h, 2h) add device i,
     # whose bit is the highest one set
@@ -179,10 +182,20 @@ def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
     for i, size in enumerate(sizes):
         h = 1 << i
         np.add(totals[:h], size, out=totals[h:2 * h])
-    # row k of the mask holds the bits of k, device 0 first
+    # column k of the mask holds the bits of k, device 0 first
     joins = np.unpackbits(np.arange(1 << n, dtype="<u8").view(np.uint8).reshape(-1, 8),
-                          axis=1, count=n, bitorder="little").view(bool)
-    return _joiner_profits(totals, joins, devices, game)
+                          axis=1, count=n, bitorder="little").view(bool).T
+    return _joiner_profits(totals, joins, devices, game, out)
+
+
+def profit_tensor(devices: Sequence[DeviceProfile], game: GameParams,
+                  cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """(2**n, n) table of device profits over every joint outcome: the
+    transpose of `joiner_rows`, as a view.
+
+    Row k equals ``device_profits(decision_from_index(k, n), ...)``.
+    """
+    return joiner_rows(devices, game, cap).T
 
 
 def random_devices(n: int, seed: int,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .. import game_model as gm
-from ..decomposition import SolvedGames, solve_decomposed
+from ..decomposition import SolvedGames, check_subset_cap, solve_decomposed
 from ..equilibrium import marginals, threshold_decision
 from ..mechanism import accepts, best_response, infer_theta, optimal_rule
 from .config import DeviceGenSpec, ExperimentConfig, SolverConfig
@@ -53,6 +53,13 @@ def round_split(solver: SolverConfig, n: int) -> tuple[bool, int]:
     return decomposed, min(solver.xi, n) if decomposed else 1
 
 
+def check_round_cap(solver: SolverConfig, n: int) -> None:
+    """Refuse a round of ``n`` devices whose largest subset (see `round_split`)
+    exceeds the enumeration cap."""
+    _, xi = round_split(solver, n)
+    check_subset_cap(n, xi, solver.enumeration_cap)
+
+
 def round_devices(cfg: ExperimentConfig, seed: int) -> list[gm.DeviceProfile]:
     """``cfg.realize_devices(seed)`` for a round solved by `solve_round`.
 
@@ -60,10 +67,24 @@ def round_devices(cfg: ExperimentConfig, seed: int) -> list[gm.DeviceProfile]:
     raises `CapacityError` before any device is drawn.
     """
     if isinstance(cfg.devices, DeviceGenSpec):
-        count = cfg.devices.count
-        _, xi = round_split(cfg.solver, count)
-        gm.check_enumeration_cap(-(-count // xi), cfg.solver.enumeration_cap)
+        check_round_cap(cfg.solver, cfg.devices.count)
     return cfg.realize_devices(seed)
+
+
+def _reporter_count(cfg: ExperimentConfig, count: int) -> int:
+    """How many of ``count`` devices report at step 2.
+
+    Whether a device reports depends only on its mechanism parameters, not
+    on its data size, so the count is known before any size is drawn: all
+    devices or none with one shared "mech.device" entry, and otherwise one
+    test per list entry (a count beyond the list raises `UsageError`).
+    """
+    srv = cfg.server
+    if len(cfg.device_mech) == 1:
+        mech = cfg.device_mech[0]
+        return count if accepts(mech.theta, srv, mech) else 0
+    return sum(1 for mech in map(cfg.mech_for, range(count))
+               if accepts(mech.theta, srv, mech))
 
 
 def solve_round(devices: Sequence[gm.DeviceProfile], cfg: ExperimentConfig,
@@ -112,6 +133,8 @@ class ProtocolResult:
 def run_protocol(cfg: ExperimentConfig, seed: int | None = None) -> ProtocolResult:
     """Simulate one full round; deterministic given the seed."""
     seed = cfg.output.seed if seed is None else seed
+    if isinstance(cfg.devices, DeviceGenSpec):
+        check_round_cap(cfg.solver, _reporter_count(cfg, cfg.devices.count))
     devices = cfg.realize_devices(seed)
     srv = cfg.server
     t_start = time.perf_counter()

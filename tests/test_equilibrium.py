@@ -19,6 +19,7 @@ from fedpart.equilibrium import (
     verify_ce,
 )
 from fedpart.errors import UsageError
+from fedpart.rng import SplitMix64
 
 # Independently cross-checked against scipy.optimize.linprog (HiGHS).
 OBJECTIVE_2DEV_500 = 0.9514777786861703
@@ -126,6 +127,46 @@ def test_deviation_gains_view_matches_xor_gather():
             for q in (0, 1):
                 expected = np.where((outcomes >> i) & 1 == q, gains, 0.0)
                 assert rows[2 * i + q].tobytes() == expected.tobytes(), (n, i, q)
+
+
+def _program_from_tensor(devices, params):
+    """``rows`` and ``c`` built from a C-ordered (2^n, n) profit tensor: its
+    transpose in the odd rows, 0.0 minus each odd row at the flipped outcome
+    in the even rows, and the row-major sum over each outcome's profits."""
+    n = len(devices)
+    tensor = np.ascontiguousarray(gm.profit_tensor(devices, params))
+    outcomes = np.arange(2**n)
+    rows = np.empty((2 * n + 1, 2**n))
+    rows[1::2] = tensor.T
+    for i in range(n):
+        rows[2 * i] = np.subtract(0.0, rows[2 * i + 1][outcomes ^ (1 << i)])
+    rows[-1] = 1.0
+    return rows, tensor.sum(axis=1)
+
+
+def _assert_program_bytes(devices, params=None):
+    params = params or gm.GameParams()
+    rows, c = _program_from_tensor(devices, params)
+    lp = build_gpm(devices, params).lp
+    assert lp.rows.tobytes() == rows.tobytes()
+    # a per-device sum of c rounds differently from n = 8 on
+    assert lp.c.tobytes() == c.tobytes()
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 50.0, 500.0, 1234.5]),
+                          st.sampled_from([0.0, 3.5e5]),
+                          st.sampled_from([1e-3, 2.5e-2])), min_size=1, max_size=8),
+       st.sampled_from([0.0, 0.7]))
+def test_build_matches_the_tensor_program_bytes(devices, err_b):
+    _assert_program_bytes([gm.DeviceProfile(id=i, data_size=s, channel_cost=c, beta=b)
+                           for i, (s, c, b) in enumerate(devices)], gm.GameParams(err_b=err_b))
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_large_build_matches_the_tensor_program_bytes(n):
+    _assert_program_bytes(gm.random_devices(n, n))  # two sizes
+    stream = SplitMix64(n)
+    _assert_program_bytes(devices_of(*(round(50 + 950 * stream.uniform(), 3) for _ in range(n))))
 
 
 def test_verify_ce_matches_masked_formula():

@@ -37,17 +37,33 @@ def test_solve_peak_memory_is_bounded_by_the_tableau():
     assert peak <= 3 * tableau, f"peak {peak} B is {peak / tableau:.2f}x the tableau"
 
 
-def test_solve_gpm_builds_the_profit_tensor_once(monkeypatch):
+def test_solve_gpm_runs_the_payoff_kernel_once(monkeypatch):
     calls = []
-    real = gm.profit_tensor
+    real = gm.joiner_rows
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(gm, "profit_tensor", counting)
+    monkeypatch.setattr(gm, "joiner_rows", counting)
     solve_gpm(gm.random_devices(8, 0))
     assert len(calls) == 1
+
+
+def test_build_peak_memory_is_near_the_rows():
+    # the rows, a few per-outcome vectors, the one-byte participation mask
+    # and a block of the objective's sum; no profit tensor beside the rows
+    devices = gm.random_devices(16, 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        lp = build_gpm(devices).lp
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * lp.rows.nbytes, \
+        f"peak {peak} B is {peak / lp.rows.nbytes:.2f}x the rows"
 
 
 def test_solve_peak_memory_is_a_fraction_of_the_rows():

@@ -405,6 +405,30 @@ def test_oversized_generated_round_is_refused_before_drawing(tmp_path, monkeypat
     assert cli_main(["mechanism", str(REPO / "configs" / "generated_decomposed.json"),
                      "--sweep", "n", "--values", "100000000",
                      "--out", str(tmp_path / "b.csv")]) == 3
+    # whether a device reports depends on its mechanism parameters alone, so
+    # the protocol knows its game's size before drawing
+    assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "c.csv")]) == 3
+    cfg_path.write_text(json.dumps({"devices": {"count": 100000000},
+                                    "mech": {"device": [{}, {}]}}), encoding="utf-8")
+    assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "d.csv")]) == 2
+
+
+@pytest.mark.parametrize("devices, cap, expected", [
+    ({"count": 100000000}, 20,
+     "subset of 50000000 devices exceeds enumeration cap 20 (2**n outcomes): "
+     "n=100000000 split into xi=2 subsets"),
+    ([{"data_size": 500.0}] * 5, 2,
+     "subset of 3 devices exceeds enumeration cap 2 (2**n outcomes): "
+     "n=5 split into xi=2 subsets"),
+])
+def test_oversized_subset_names_the_split_game(devices, cap, expected, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "devices": devices,
+        "solver": {"mode": "decomposed", "enumeration_cap": cap}}), encoding="utf-8")
+    for cmd in ("solve-sgpm", "simulate"):
+        assert cli_main([cmd, str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 3
+        assert capsys.readouterr().err == f"capacity error: {expected}\n"
 
 
 # ---------------------------------------------------------------- sweeps ---
